@@ -687,7 +687,7 @@ Result<RecoveryPrediction> PhasePredictor::predict_recovery(
       worst_link_s =
           std::max(worst_link_s,
                    to_seconds(net::route_latency(route)) + msg_overhead_s);
-      nic_s += static_cast<double>(tbon::HealthMonitor::kPingBytes) /
+      nic_s += static_cast<double>(tbon::kControlMessageBytes) /
                net::bottleneck_rate(route);
     }
     level_s[parent.level] = std::max(level_s[parent.level], worst_link_s + nic_s);

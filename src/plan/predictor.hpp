@@ -168,9 +168,9 @@ class PhasePredictor {
   [[nodiscard]] Result<RecoveryPrediction> predict_recovery(
       const tbon::TopologySpec& spec, SimTime ping_period) const;
 
-  /// Prices one streaming delta round (tbon::StreamingReduction) for `spec`:
-  /// each daemon in `daemon_changed` resends its packed snapshot, every
-  /// other daemon acknowledges with a bare DeltaHeader; a proc with a
+  /// Prices one streaming round (tbon::Reduction's delta protocol) for
+  /// `spec`: each daemon in `daemon_changed` resends its packed snapshot,
+  /// every other daemon acknowledges with a bare DeltaHeader; a proc with a
   /// changed child re-merges it (codec + filter merge) plus its cached
   /// copies of the unchanged children (machine::cached_merge_cost) and
   /// forwards its whole subtree snapshot, while a clean subtree costs acks

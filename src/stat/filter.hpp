@@ -15,8 +15,8 @@
 #include "app/callpath.hpp"
 #include "machine/cost_model.hpp"
 #include "stat/prefix_tree.hpp"
+#include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/streaming.hpp"
 
 namespace petastat::stat {
 
@@ -24,6 +24,8 @@ template <typename Label>
 struct StatPayload {
   PrefixTree<Label> tree_2d;
   PrefixTree<Label> tree_3d;
+
+  friend bool operator==(const StatPayload&, const StatPayload&) = default;
 };
 
 /// Folds one gathered trace into a daemon's payload: the first sample seeds
@@ -77,7 +79,8 @@ template <typename Label>
     const std::uint64_t label_bytes = payload_wire_bytes(child, frames, ctx);
     return machine::filter_merge_cost(costs, nodes, label_bytes);
   };
-  ops.merge_into = [](StatPayload<Label>& acc, StatPayload<Label>&& child) {
+  ops.merge_into = [](StatPayload<Label>& acc,
+                      const StatPayload<Label>& child) {
     acc.tree_2d.merge(child.tree_2d);
     acc.tree_3d.merge(child.tree_3d);
   };
@@ -102,35 +105,34 @@ template <typename Label>
     const StreamSnapshot<Label>& snapshot, const app::FrameTable& frames,
     const LabelContext& ctx) {
   // One tree plus a small packet header (the DeltaHeader is charged by the
-  // streaming layer on top of this).
+  // delta protocol on top of this).
   return snapshot.tree.wire_bytes(frames, ctx) + 8;
 }
 
-/// Builds the StreamOps a StreamingReduction runs at every analysis node.
-/// Costs are priced by the same shared formulas as the batched filter, so
-/// the planner's predict_stream_sample and the simulator agree by
-/// construction. `frames` and `ctx` must outlive the reduction.
+/// Builds the delta-protocol ReduceOps the streaming rounds run at every
+/// analysis node. Costs are priced by the same shared formulas as the
+/// batched filter, so the planner's predict_stream_sample and the simulator
+/// agree by construction. `frames` and `ctx` must outlive the reduction.
 template <typename Label>
-[[nodiscard]] tbon::StreamOps<StreamSnapshot<Label>> make_stream_ops(
+[[nodiscard]] tbon::ReduceOps<StreamSnapshot<Label>> make_stream_ops(
     const machine::MergeCosts& merge, const machine::StreamCosts& stream,
     const app::FrameTable& frames, const LabelContext& ctx) {
-  tbon::StreamOps<StreamSnapshot<Label>> ops;
-  ops.base.wire_bytes = [&frames, ctx](const StreamSnapshot<Label>& snapshot) {
+  tbon::ReduceOps<StreamSnapshot<Label>> ops;
+  ops.wire_bytes = [&frames, ctx](const StreamSnapshot<Label>& snapshot) {
     return snapshot_wire_bytes(snapshot, frames, ctx);
   };
-  ops.base.codec_cost = [merge](std::uint64_t bytes) {
+  ops.codec_cost = [merge](std::uint64_t bytes) {
     return machine::packet_codec_cost(merge, bytes);
   };
-  ops.base.merge_cpu = [merge, &frames, ctx](
-                           const StreamSnapshot<Label>& child) {
-    return machine::filter_merge_cost(
-        merge, child.tree.node_count(),
-        snapshot_wire_bytes(child, frames, ctx));
+  ops.merge_cpu = [merge, &frames, ctx](const StreamSnapshot<Label>& child) {
+    return machine::filter_merge_cost(merge, child.tree.node_count(),
+                                      snapshot_wire_bytes(child, frames, ctx));
   };
-  ops.base.merge_into = [](StreamSnapshot<Label>& acc,
-                           StreamSnapshot<Label>&& child) {
+  ops.merge_into = [](StreamSnapshot<Label>& acc,
+                      const StreamSnapshot<Label>& child) {
     acc.tree.merge(child.tree);
   };
+  ops.header_bytes = tbon::kDeltaHeaderBytes;
   ops.signature_cpu = [stream](const StreamSnapshot<Label>& snapshot) {
     return machine::signature_cost(stream, snapshot.tree.node_count());
   };

@@ -8,7 +8,6 @@
 #include "tbon/health.hpp"
 #include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/streaming.hpp"
 #include "tbon/trigger.hpp"
 
 namespace petastat::stat {
@@ -61,6 +60,50 @@ std::vector<net::LinkStat> link_stats_since(
                    });
   return delta;
 }
+
+/// The --fail-at kill switch both merge paths arm: the default victim, the
+/// health monitor whose ping sweeps notice its death, and the trigger that
+/// recovers it through the reduction the moment the death is detected.
+template <typename Payload>
+struct KillSwitch {
+  KillSwitch(sim::Simulator& simulator, net::Network& net,
+             const tbon::TbonTopology& topology, const StatOptions& options,
+             tbon::Reduction<Payload>& reduce, PhaseBreakdown& phase_record)
+      : sim(simulator),
+        reduction(reduce),
+        phases(phase_record),
+        armed(options.fail_at_seconds >= 0.0),
+        victim(armed ? tbon::default_victim(topology) : 0),
+        monitor(simulator, net, topology, triggers,
+                seconds(options.ping_period_seconds)) {
+    if (!armed) return;
+    triggers.register_action([this](const tbon::FailureEvent& event) {
+      phases.failure_detect_latency = event.detected_at - event.dead_at;
+      detected_at = event.detected_at;
+      const tbon::RecoveryReport report = reduction.recover(event.proc);
+      if (report.acted) {
+        phases.orphaned_daemons += report.orphan_daemons;
+        phases.lost_daemons += report.lost_daemons;
+      }
+    });
+  }
+
+  /// Kills the victim now.
+  void fire() {
+    reduction.mark_dead(victim);
+    monitor.mark_dead(victim, sim.now());
+    ++phases.killed_procs;
+  }
+
+  sim::Simulator& sim;
+  tbon::Reduction<Payload>& reduction;
+  PhaseBreakdown& phases;
+  const bool armed;
+  const std::uint32_t victim;
+  tbon::TriggerManager triggers;
+  tbon::HealthMonitor monitor;
+  SimTime detected_at = kSimTimeNever;  // when the monitor noticed the victim
+};
 }  // namespace
 
 std::unique_ptr<app::AppModel> make_app_model(
@@ -506,7 +549,8 @@ StatRunResult StatScenario::run_impl() {
   const bool dense = options_.repr == TaskSetRepr::kDenseGlobal;
   if (!streaming) {
     // Sample request multicast down the tree (small control message).
-    tbon::multicast(sim_, *net_, topology, /*bytes=*/96, [](SimTime) {});
+    tbon::multicast(sim_, *net_, topology, tbon::kControlMessageBytes,
+                    [](SimTime) {});
     sim_.run();
   }
 
@@ -723,43 +767,28 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
   // Mid-merge failure recovery: the monitor's ping sweep runs only while a
   // kill is armed (the tool's steady-state costs stay exactly as before),
   // and leaf payload retention — the recovery's raw material — likewise.
-  const bool kill_armed = options_.fail_at_seconds >= 0.0;
-  reduction.set_retain_payloads(kill_armed);
-  tbon::TriggerManager triggers;
-  tbon::HealthMonitor monitor(sim_, *net_, topology, triggers,
-                              seconds(options_.ping_period_seconds));
-  SimTime victim_detected_at = kSimTimeNever;
-  if (kill_armed) {
-    const std::uint32_t victim = tbon::default_victim(topology);
-    triggers.register_action([&](const tbon::FailureEvent& event) {
-      phases.failure_detect_latency = event.detected_at - event.dead_at;
-      victim_detected_at = event.detected_at;
-      const tbon::RecoveryReport report = reduction.recover(event.proc);
-      if (report.acted) {
-        phases.orphaned_daemons += report.orphan_daemons;
-        phases.lost_daemons += report.lost_daemons;
-      }
-    });
-    monitor.start();
-    sim_.schedule_in(seconds(options_.fail_at_seconds), [&, victim]() {
-      reduction.mark_dead(victim);
-      monitor.mark_dead(victim, sim_.now());
-      ++phases.killed_procs;
-    });
+  KillSwitch<StatPayload<Label>> kill(sim_, *net_, topology, options_,
+                                      reduction, phases);
+  reduction.set_retain_payloads(kill.armed);
+  if (kill.armed) {
+    kill.monitor.start();
+    sim_.schedule_in(seconds(options_.fail_at_seconds),
+                     [&kill]() { kill.fire(); });
   }
 
   std::optional<StatPayload<Label>> merged;
   SimTime merge_done_at = merge_start;
-  reduction.start(std::move(payloads),
-                  [&](tbon::ReduceResult<StatPayload<Label>> reduce_result) {
-                    merged = std::move(reduce_result.payload);
-                    merge_done_at = reduce_result.finished_at;
-                    phases.merge_bytes = reduce_result.bytes_moved;
-                    phases.merge_messages = reduce_result.messages;
-                    monitor.stop();
-                  });
+  reduction.run_round(
+      /*cursor=*/0, std::move(payloads),
+      [&](tbon::ReduceResult<StatPayload<Label>> reduce_result) {
+        merged = std::move(reduce_result.payload);
+        merge_done_at = reduce_result.finished_at;
+        phases.merge_bytes = reduce_result.bytes_moved;
+        phases.merge_messages = reduce_result.messages;
+        kill.monitor.stop();
+      });
   sim_.run();
-  phases.health_sweeps = monitor.sweeps_completed();
+  phases.health_sweeps = kill.monitor.sweeps_completed();
   phases.merge_links = link_stats_since(*net_, links_before);
   if (!merged.has_value()) {
     // The victim died holding state the recovery could not rebuild (or died
@@ -771,24 +800,35 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
     return;
   }
   phases.merge_time = merge_done_at - merge_start;
-  if (victim_detected_at != kSimTimeNever && merge_done_at > victim_detected_at) {
-    phases.recovery_remerge_time = merge_done_at - victim_detected_at;
+  if (kill.detected_at != kSimTimeNever && merge_done_at > kill.detected_at) {
+    phases.recovery_remerge_time = merge_done_at - kill.detected_at;
   }
+  finalize_trees<Label>(topology, result, merged->tree_2d, merged->tree_3d,
+                        task_map, daemon_dead);
+}
 
-  // Finalization: the optimized representation pays the remap from daemon
-  // order to MPI rank order (0.66 s at 208K tasks). With a sharded front
-  // end the reducers remap their contiguous slices concurrently, so the
-  // phase costs the largest slice instead of the whole job. Either way the
-  // remap only touches ranks that reported — survivors, not the full job.
+template <typename Label>
+void StatScenario::finalize_trees(const tbon::TbonTopology& topology,
+                                  StatRunResult& result,
+                                  PrefixTree<Label>& tree_2d,
+                                  PrefixTree<Label>& tree_3d,
+                                  const TaskMap& task_map,
+                                  const std::vector<bool>& dead) {
+  // The optimized representation pays the remap from daemon order to MPI
+  // rank order (0.66 s at 208K tasks). With a sharded front end the
+  // reducers remap their contiguous slices concurrently, so the phase costs
+  // the largest slice instead of the whole job. Either way the remap only
+  // touches ranks that reported — survivors, not the full job.
   if constexpr (std::is_same_v<Label, HierLabel>) {
+    PhaseBreakdown& phases = result.phases;
     if (topology.sharded()) {
       phases.remap_time = machine::sharded_remap_cost(
           costs_.merge,
-          tbon::largest_shard_task_count(topology, layout_, daemon_dead));
+          tbon::largest_shard_task_count(topology, layout_, dead));
     } else {
       std::uint64_t surviving_tasks = 0;
       for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-        if (!daemon_dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
+        if (!dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
       }
       phases.remap_time =
           machine::frontend_remap_cost(costs_.merge, surviving_tasks);
@@ -797,13 +837,13 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
     // The two trees remap independently; overlap them across workers while
     // the modelled remap duration elapses.
     auto remap_2d = exec_->run(
-        [&]() { result.tree_2d = remap_tree(merged->tree_2d, task_map); });
-    result.tree_3d = remap_tree(merged->tree_3d, task_map);
+        [&]() { result.tree_2d = remap_tree(tree_2d, task_map); });
+    result.tree_3d = remap_tree(tree_3d, task_map);
     exec_->wait(remap_2d);
     sim_.run();
   } else {
-    result.tree_2d = std::move(merged->tree_2d);
-    result.tree_3d = std::move(merged->tree_3d);
+    result.tree_2d = std::move(tree_2d);
+    result.tree_3d = std::move(tree_3d);
   }
 }
 
@@ -819,7 +859,7 @@ void capture_session_checkpoint(
     const machine::JobConfig& job, const machine::DaemonLayout& layout,
     const StatOptions& options, const app::FrameTable& frames,
     const LabelContext& ctx, const tbon::TbonTopology& topology,
-    const tbon::StreamingReduction<StreamSnapshot<Label>>& streaming,
+    const tbon::Reduction<StreamSnapshot<Label>>& reduction,
     const PrefixTree<Label>& acc_2d, const PrefixTree<Label>& acc_3d,
     const TaskMap& task_map, std::uint32_t boundary, StatRunResult& result) {
   auto cp = std::make_shared<SessionCheckpoint>();
@@ -833,12 +873,12 @@ void capture_session_checkpoint(
   cp->interval_seconds = options.stream_interval_seconds;
   cp->repr = options.repr;
   cp->seed = options.seed;
-  const std::vector<bool>& dead = streaming.dead_daemons();
+  const std::vector<bool>& dead = reduction.dead_daemons();
   for (std::uint32_t d = 0; d < dead.size(); ++d) {
     if (dead[d]) cp->dead_daemons.push_back(d);
   }
-  cp->daemon_cache_valid = streaming.daemon_cache_valid();
-  cp->proc_cache_complete = streaming.proc_cache_complete();
+  cp->daemon_cache_valid = reduction.daemon_cache_valid();
+  cp->proc_cache_complete = reduction.proc_cache_complete();
   cp->leaf_payload_bytes = result.phases.leaf_payload_bytes;
 
   // Estimated per-shard inbound bytes: the measured per-daemon payload
@@ -918,48 +958,29 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
 
   const std::vector<net::LinkStat> links_before = net_->link_stats();
 
-  tbon::StreamingReduction<StreamSnapshot<Label>> streaming(
+  tbon::Reduction<StreamSnapshot<Label>> reduction(
       sim_, *net_, topology,
       make_stream_ops<Label>(costs_.merge, costs_.stream, frames, ctx),
       exec_);
-  streaming.set_dead_daemons(daemon_dead);
-  streaming.set_full_remerge(options_.stream_full_remerge);
+  reduction.set_dead_daemons(daemon_dead);
+  reduction.set_full_remerge(options_.stream_full_remerge);
 
   // Mid-stream failure recovery. The kill cannot ride a simulator timer
   // here: every per-round drain empties the whole event queue, so a timer
   // armed for round 3 would fire during round 0's drain anyway. Instead the
   // victim dies at the first round boundary at or past --fail-at — after the
-  // earlier rounds primed its subtree's caches — the ping sweep runs in
+  // earlier rounds primed its subtree's caches — and the ping sweep runs in
   // bounded windows between rounds (a free-running monitor would keep every
-  // drain from terminating), and the streaming layer applies the recovery at
-  // the next boundary, which invalidates every ancestor cache the
-  // re-parenting touches: the post-recovery round equals a from-scratch
-  // merge of the survivors.
-  const bool kill_armed = options_.fail_at_seconds >= 0.0;
-  const SimTime kill_at = sim_.now() + seconds(std::max(0.0, options_.fail_at_seconds));
-  tbon::TriggerManager triggers;
-  tbon::HealthMonitor monitor(sim_, *net_, topology, triggers,
-                              seconds(options_.ping_period_seconds));
-  bool victim_detected = false;
-  SimTime victim_detected_at = kSimTimeNever;
-  const std::uint32_t victim = kill_armed ? tbon::default_victim(topology) : 0;
-  if (kill_armed) {
-    triggers.register_action([&](const tbon::FailureEvent& event) {
-      victim_detected = true;
-      victim_detected_at = event.detected_at;
-      phases.failure_detect_latency = event.detected_at - event.dead_at;
-      streaming.recover(event.proc, [&phases](tbon::RecoveryReport report) {
-        if (!report.acted) return;
-        phases.orphaned_daemons += report.orphan_daemons;
-        phases.lost_daemons += report.lost_daemons;
-      });
-    });
-  }
+  // drain from terminating). The detection recovers at once, between rounds,
+  // and invalidates every ancestor cache the re-parenting touches: the
+  // post-recovery round equals a from-scratch merge of the survivors.
+  KillSwitch<StreamSnapshot<Label>> kill(sim_, *net_, topology, options_,
+                                         reduction, phases);
+  const SimTime kill_at =
+      sim_.now() + seconds(std::max(0.0, options_.fail_at_seconds));
   const auto maybe_kill = [&]() {
-    if (kill_armed && phases.killed_procs == 0 && sim_.now() >= kill_at) {
-      streaming.mark_dead(victim);
-      monitor.mark_dead(victim, sim_.now());
-      ++phases.killed_procs;
+    if (kill.armed && phases.killed_procs == 0 && sim_.now() >= kill_at) {
+      kill.fire();
     }
   };
   // Ordering pin: a --fail-at landing exactly on a round boundary (t = 0
@@ -998,6 +1019,10 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     check(tree_3d.is_ok(), "restore: checkpoint 3D tree blob failed to decode");
     acc_3d = std::move(tree_3d).value();
   }
+  // The daemons a round samples are the ones the previous round reached: a
+  // daemon a recovery finds lost between rounds is still sampled once more,
+  // and its loss takes effect from that round's merge on.
+  std::vector<bool> unreachable = reduction.dead_daemons();
   result.stream_samples.reserve(rounds - start);
   for (std::uint32_t s = start; s < rounds; ++s) {
     maybe_kill();
@@ -1005,7 +1030,6 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     const SimTime gather_start = sim_.now();
     SimTime gather_end = gather_start;
     std::vector<StreamSnapshot<Label>> snapshots(num_daemons);
-    const std::vector<bool>& unreachable = streaming.dead_daemons();
     for (std::uint32_t d = 0; d < num_daemons; ++d) {
       if (unreachable[d]) continue;
       auto* snapshot = &snapshots[d];
@@ -1044,13 +1068,14 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
 
     // --- merge round ------------------------------------------------------
     const SimTime merge_start = sim_.now();
-    std::optional<tbon::StreamRoundResult<StreamSnapshot<Label>>> merged;
-    streaming.run_round(
+    std::optional<tbon::ReduceResult<StreamSnapshot<Label>>> merged;
+    reduction.run_round(
         s, std::move(snapshots),
-        [&merged](tbon::StreamRoundResult<StreamSnapshot<Label>> r) {
+        [&merged](tbon::ReduceResult<StreamSnapshot<Label>> r) {
           merged = std::move(r);
         });
     sim_.run();
+    unreachable = reduction.dead_daemons();
     if (!merged.has_value()) {
       phases.merge_status = unavailable(
           "stream stalled: a tool process died mid-stream and round " +
@@ -1077,10 +1102,10 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     phases.merge_messages += stats.merge_messages;
     ++phases.stream_rounds;
     if (stats.changed) ++phases.stream_changed_rounds;
-    if (victim_detected_at != kSimTimeNever &&
+    if (kill.detected_at != kSimTimeNever &&
         phases.recovery_remerge_time == 0 &&
-        merged->finished_at > victim_detected_at) {
-      phases.recovery_remerge_time = merged->finished_at - victim_detected_at;
+        merged->finished_at > kill.detected_at) {
+      phases.recovery_remerge_time = merged->finished_at - kill.detected_at;
     }
 
     // Fold the round's snapshot into the accumulated trees. The canonical
@@ -1103,7 +1128,7 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
          boundary % options_.checkpoint_period == 0)) {
       capture_session_checkpoint<Label>(sim_, machine_, job_, layout_,
                                         options_, frames, ctx, topology,
-                                        streaming, acc_2d, acc_3d, task_map,
+                                        reduction, acc_2d, acc_3d, task_map,
                                         boundary, result);
     }
     if (vacate_here) {
@@ -1111,7 +1136,7 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
       // checkpoint just captured is what resumes it). Status stays OK — a
       // vacate is an operation, not a failure.
       result.vacated = true;
-      phases.health_sweeps = monitor.sweeps_completed();
+      phases.health_sweeps = kill.monitor.sweeps_completed();
       phases.stream_links = link_stats_since(*net_, links_before);
       return;
     }
@@ -1119,10 +1144,11 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     if (s + 1 == rounds) break;
     // Detection window: while a kill has fired but gone unnoticed, let the
     // monitor run a bounded burst of sweeps before the next round.
-    if (kill_armed && phases.killed_procs > 0 && !victim_detected) {
-      monitor.start();
+    if (kill.armed && phases.killed_procs > 0 &&
+        kill.detected_at == kSimTimeNever) {
+      kill.monitor.start();
       sim_.schedule_in(3 * seconds(options_.ping_period_seconds),
-                       [&monitor]() { monitor.stop(); });
+                       [&kill]() { kill.monitor.stop(); });
       sim_.run();
     }
     if (options_.stream_interval_seconds > 0.0) {
@@ -1136,36 +1162,13 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
       }
     }
   }
-  phases.health_sweeps = monitor.sweeps_completed();
+  phases.health_sweeps = kill.monitor.sweeps_completed();
   phases.stream_links = link_stats_since(*net_, links_before);
 
-  // Finalization: identical to the classic merge phase, except survivors
-  // are judged after mid-stream losses (a daemon whose leaf died mid-stream
-  // stopped contributing and is not remapped).
-  const std::vector<bool>& final_dead = streaming.dead_daemons();
-  if constexpr (std::is_same_v<Label, HierLabel>) {
-    if (topology.sharded()) {
-      phases.remap_time = machine::sharded_remap_cost(
-          costs_.merge,
-          tbon::largest_shard_task_count(topology, layout_, final_dead));
-    } else {
-      std::uint64_t surviving_tasks = 0;
-      for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-        if (!final_dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
-      }
-      phases.remap_time =
-          machine::frontend_remap_cost(costs_.merge, surviving_tasks);
-    }
-    sim_.schedule_in(phases.remap_time, []() {});
-    auto remap_2d =
-        exec_->run([&]() { result.tree_2d = remap_tree(acc_2d, task_map); });
-    result.tree_3d = remap_tree(acc_3d, task_map);
-    exec_->wait(remap_2d);
-    sim_.run();
-  } else {
-    result.tree_2d = std::move(acc_2d);
-    result.tree_3d = std::move(acc_3d);
-  }
+  // Survivors are judged after mid-stream losses: a daemon whose leaf died
+  // mid-stream stopped contributing and is not remapped.
+  finalize_trees<Label>(topology, result, acc_2d, acc_3d, task_map,
+                        reduction.dead_daemons());
 }
 
 }  // namespace petastat::stat

@@ -353,6 +353,15 @@ class StatScenario {
                         StatRunResult& result, const TaskMap& task_map,
                         const std::vector<bool>& daemon_dead);
 
+  /// Finalization shared by both merge paths: prices the hierarchical remap
+  /// over the daemons `dead` does not flag and remaps (dense: moves) the
+  /// merged trees into `result`.
+  template <typename Label>
+  void finalize_trees(const tbon::TbonTopology& topology,
+                      StatRunResult& result, PrefixTree<Label>& tree_2d,
+                      PrefixTree<Label>& tree_3d, const TaskMap& task_map,
+                      const std::vector<bool>& dead);
+
   machine::MachineConfig machine_;
   machine::JobConfig job_;
   StatOptions options_;

@@ -70,11 +70,11 @@ StatBenchResult run_with_label(const StatBenchConfig& config,
       make_stat_reduce_ops<Label>(costs.merge, frames, ctx), &exec);
   std::optional<StatPayload<Label>> merged;
   std::uint64_t bytes = 0;
-  reduction.start(std::move(payloads),
-                  [&](tbon::ReduceResult<StatPayload<Label>> r) {
-                    merged = std::move(r.payload);
-                    bytes = r.bytes_moved;
-                  });
+  reduction.run_round(/*cursor=*/0, std::move(payloads),
+                      [&](tbon::ReduceResult<StatPayload<Label>> r) {
+                        merged = std::move(r.payload);
+                        bytes = r.bytes_moved;
+                      });
   sim.run();
   check(merged.has_value(), "statbench reduction did not complete");
   result.merge_time = sim.now() - merge_start;

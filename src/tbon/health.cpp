@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.hpp"
-#include "tbon/reduction.hpp"
 
 namespace petastat::tbon {
 
@@ -43,7 +42,8 @@ void HealthMonitor::sweep() {
   // multicast, the echo gather is modelled symmetric to it. A proc dead
   // before `started` produces no echo, so the front end notices exactly when
   // the gather would have completed.
-  multicast(sim_, net_, topo_, kPingBytes, [this, started](SimTime reached) {
+  multicast(sim_, net_, topo_, kControlMessageBytes,
+            [this, started](SimTime reached) {
     if (stopped_) return;
     const SimTime detect_at = reached + (reached - started);
     sim_.schedule_at(detect_at, [this, started, detect_at]() {

@@ -17,6 +17,7 @@
 #include "common/types.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "tbon/multicast.hpp"
 #include "tbon/topology.hpp"
 #include "tbon/trigger.hpp"
 
@@ -24,9 +25,6 @@ namespace petastat::tbon {
 
 class HealthMonitor {
  public:
-  /// Bytes of one ping message (matches the sampling control multicast).
-  static constexpr std::uint64_t kPingBytes = 96;
-
   HealthMonitor(sim::Simulator& simulator, net::Network& network,
                 const TbonTopology& topology, TriggerManager& triggers,
                 SimTime period);

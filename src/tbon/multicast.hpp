@@ -1,13 +1,14 @@
-// Downward control plane of the TBON (the --stream arming broadcast).
+// Downward control plane of the TBON: every message the front end sends down
+// the tree goes through the one fan-out here.
 //
 // The front end arms a streaming run by broadcasting one SampleRequest
 // envelope down the tree: each proc receives the packet, pays the shared
 // control-packet CPU (machine::control_packet_cost), and forwards a copy to
 // each child over its NIC through net::Network — so control-plane latency is
-// priced by exactly the formulas plan::PhasePredictor consults. Compare the
-// legacy multicast() in reduction.hpp, which moved opaque bytes with no CPU
-// model; it survives as a wrapper over the same fan-out for callers that
-// only need a synchronization barrier.
+// priced by exactly the formulas plan::PhasePredictor consults. multicast()
+// moves an opaque control message (a health-monitor ping, the batch sampling
+// trigger) over the same fan-out with no CPU model, for callers that only
+// need a synchronization barrier.
 //
 // Upward, every per-sample delta message leads with a DeltaHeader: an
 // unchanged subtree acknowledges with the bare header (kDeltaAckBytes), a
@@ -67,6 +68,10 @@ inline constexpr std::uint64_t kDeltaAckBytes = kDeltaHeaderBytes;
   return kDeltaHeaderBytes + payload_bytes;
 }
 
+/// Bytes of one opaque control message: a health-monitor ping or the batch
+/// sampling trigger.
+inline constexpr std::uint64_t kControlMessageBytes = 96;
+
 /// What one broadcast moved.
 struct BroadcastReport {
   SimTime finished_at = 0;     // the last leaf armed
@@ -84,5 +89,11 @@ void broadcast(sim::Simulator& simulator, net::Network& network,
                const machine::StreamCosts& costs, const SampleRequest& request,
                std::function<void(std::uint32_t leaf_proc, SimTime)> on_leaf,
                std::function<void(BroadcastReport)> done);
+
+/// Fans `bytes` of opaque control message out level by level with no CPU
+/// model; `done` fires when the last leaf has it.
+void multicast(sim::Simulator& simulator, net::Network& network,
+               const TbonTopology& topology, std::uint64_t bytes,
+               std::function<void(SimTime finished_at)> done);
 
 }  // namespace petastat::tbon

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "stat/scenario.hpp"
+#include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
 
 namespace petastat {
@@ -36,12 +37,12 @@ TEST(EdgeCases, SingleDaemonReduction) {
   net::Network network(simulator, net::build_switch_graph(m));
   tbon::ReduceOps<int> ops;
   ops.merge_cpu = [](const int&) { return SimTime{0}; };
-  ops.merge_into = [](int& acc, int&& child) { acc += child; };
+  ops.merge_into = [](int& acc, const int& child) { acc += child; };
   ops.wire_bytes = [](const int&) { return std::uint64_t{8}; };
   ops.codec_cost = [](std::uint64_t) { return SimTime{10}; };
   tbon::Reduction<int> reduction(simulator, network, topo, ops);
   int final_value = 0;
-  reduction.start({41}, [&](tbon::ReduceResult<int> r) {
+  reduction.run_round(0, {41}, [&](tbon::ReduceResult<int> r) {
     final_value = r.payload;
   });
   simulator.run();

@@ -154,17 +154,29 @@ TEST(HealthMonitor, StopSilencesTheSweep) {
 struct SumPayload {
   std::uint64_t sum = 0;
   std::uint32_t contributions = 0;
+
+  friend bool operator==(const SumPayload&, const SumPayload&) = default;
 };
 
 tbon::ReduceOps<SumPayload> sum_ops() {
   tbon::ReduceOps<SumPayload> ops;
   ops.merge_cpu = [](const SumPayload&) { return SimTime{100}; };
-  ops.merge_into = [](SumPayload& acc, SumPayload&& child) {
+  ops.merge_into = [](SumPayload& acc, const SumPayload& child) {
     acc.sum += child.sum;
     acc.contributions += child.contributions;
   };
   ops.wire_bytes = [](const SumPayload&) { return std::uint64_t{64}; };
   ops.codec_cost = [](std::uint64_t) { return SimTime{50 * kMicrosecond}; };
+  return ops;
+}
+
+/// sum_ops plus the delta protocol (acks, per-child caches).
+tbon::ReduceOps<SumPayload> delta_sum_ops() {
+  tbon::ReduceOps<SumPayload> ops = sum_ops();
+  ops.header_bytes = 14;
+  ops.signature_cpu = [](const SumPayload&) { return SimTime{10}; };
+  ops.cached_merge_cpu = [](const SumPayload&) { return SimTime{20}; };
+  ops.ack_cpu = SimTime{5};
   return ops;
 }
 
@@ -212,9 +224,10 @@ TEST(ReductionRecovery, KilledInternalProcsSubtreeIsRemergedExactly) {
   });
 
   std::optional<tbon::ReduceResult<SumPayload>> result;
-  reduction.start(std::move(leaves), [&result](tbon::ReduceResult<SumPayload> r) {
-    result = std::move(r);
-  });
+  reduction.run_round(0, std::move(leaves),
+                      [&result](tbon::ReduceResult<SumPayload> r) {
+                        result = std::move(r);
+                      });
   simulator.run();
 
   ASSERT_TRUE(result.has_value()) << "merge stalled";
@@ -232,6 +245,55 @@ TEST(ReductionRecovery, DeathAfterForwardingIsAFreeNoop) {
   const auto layout = layout_of(m, 64);
   const auto topo =
       tbon::build_topology(m, layout, tbon::TopologySpec::balanced(2)).value();
+  const std::uint32_t victim = tbon::default_victim(topo);
+  std::uint64_t expected = 0;
+  const auto leaves = numbered_leaves(layout.num_daemons, expected);
+
+  // A clean run fixes when the front end finishes; every comm proc has
+  // forwarded long before (the front end's own pack alone takes 50 us).
+  const auto run = [&](SimTime kill_at) {
+    sim::Simulator simulator;
+    net::Network network(simulator, net::build_switch_graph(m));
+    tbon::Reduction<SumPayload> reduction(simulator, network, topo, sum_ops());
+    reduction.set_retain_payloads(true);
+    std::optional<tbon::ReduceResult<SumPayload>> result;
+    std::optional<tbon::RecoveryReport> report;
+    if (kill_at != kSimTimeNever) {
+      simulator.schedule_at(kill_at, [&]() {
+        reduction.mark_dead(victim);
+        report = reduction.recover(victim);
+      });
+    }
+    reduction.run_round(0, leaves,
+                        [&result](tbon::ReduceResult<SumPayload> r) {
+                          result = std::move(r);
+                        });
+    simulator.run();
+    return std::make_pair(result, report);
+  };
+  const auto [clean, no_report] = run(kSimTimeNever);
+  ASSERT_TRUE(clean.has_value());
+
+  // Killed mid-round after it forwarded: the round needs nothing from the
+  // recovery and finishes exactly like the clean one.
+  const auto [killed, report] = run(clean->finished_at - 1);
+  ASSERT_TRUE(killed.has_value());
+  ASSERT_TRUE(report.has_value());
+  EXPECT_FALSE(report->acted);
+  EXPECT_EQ(report->orphan_daemons, 0u);
+  EXPECT_EQ(killed->payload, clean->payload);
+  EXPECT_EQ(killed->payload.sum, expected);
+  EXPECT_EQ(killed->finished_at, clean->finished_at);
+  EXPECT_EQ(killed->messages, clean->messages);
+}
+
+TEST(ReductionRecovery, DeathBetweenRoundsOnlyRepairsTheTree) {
+  // A death after the round completed moves no bytes: recover() re-parents
+  // the orphans for the next round and sends nothing.
+  const auto m = machine::atlas();
+  const auto layout = layout_of(m, 64);
+  const auto topo =
+      tbon::build_topology(m, layout, tbon::TopologySpec::balanced(2)).value();
   sim::Simulator simulator;
   net::Network network(simulator, net::build_switch_graph(m));
   tbon::Reduction<SumPayload> reduction(simulator, network, topo, sum_ops());
@@ -240,7 +302,7 @@ TEST(ReductionRecovery, DeathAfterForwardingIsAFreeNoop) {
   std::uint64_t expected = 0;
   auto leaves = numbered_leaves(layout.num_daemons, expected);
   std::optional<tbon::ReduceResult<SumPayload>> result;
-  reduction.start(std::move(leaves), [&result](tbon::ReduceResult<SumPayload> r) {
+  reduction.run_round(0, leaves, [&result](tbon::ReduceResult<SumPayload> r) {
     result = std::move(r);
   });
   simulator.run();
@@ -248,10 +310,104 @@ TEST(ReductionRecovery, DeathAfterForwardingIsAFreeNoop) {
   EXPECT_EQ(result->payload.sum, expected);
 
   const std::uint32_t victim = tbon::default_victim(topo);
+  const std::uint64_t messages_before = network.total_messages();
   reduction.mark_dead(victim);
   const tbon::RecoveryReport report = reduction.recover(victim);
-  EXPECT_FALSE(report.acted);
-  EXPECT_EQ(report.orphan_daemons, 0u);
+  simulator.run();
+  EXPECT_TRUE(report.acted);
+  EXPECT_EQ(report.orphan_daemons, topo.procs[victim].children.size());
+  EXPECT_EQ(network.total_messages(), messages_before);
+  EXPECT_FALSE(reduction.recover(victim).acted);  // idempotent
+
+  // The next round merges every daemon through the repaired tree.
+  result.reset();
+  reduction.run_round(1, std::move(leaves),
+                      [&result](tbon::ReduceResult<SumPayload> r) {
+                        result = std::move(r);
+                      });
+  simulator.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->payload.sum, expected);
+  EXPECT_EQ(result->payload.contributions, layout.num_daemons);
+}
+
+TEST(ReductionRecovery, MidRoundKillThenNextRoundMatchesScratchMerge) {
+  // The engine persists across rounds: a comm proc killed and recovered
+  // mid-round leaves a repaired tree behind, and the next round on the same
+  // engine merges bit-identically to a from-scratch merge of the survivors
+  // with only the re-parented path dirty.
+  const auto m = machine::atlas();
+  const auto layout = layout_of(m, 256);  // 32 daemons
+  const auto topo =
+      tbon::build_topology(m, layout, tbon::TopologySpec::balanced(2)).value();
+  const std::uint32_t victim = tbon::default_victim(topo);
+  const auto orphans =
+      static_cast<std::uint32_t>(topo.procs[victim].children.size());
+  std::uint32_t alive_internal = 0;
+  for (std::uint32_t p = 0; p < topo.procs.size(); ++p) {
+    if (!topo.procs[p].is_leaf() && p != victim) ++alive_internal;
+  }
+  std::uint64_t expected = 0;
+  const auto leaves = numbered_leaves(layout.num_daemons, expected);
+
+  sim::Simulator simulator;
+  net::Network network(simulator, net::build_switch_graph(m));
+  tbon::Reduction<SumPayload> reduction(simulator, network, topo,
+                                        delta_sum_ops());
+  const auto round = [&](std::uint32_t cursor) {
+    std::optional<tbon::ReduceResult<SumPayload>> result;
+    reduction.run_round(cursor, leaves,
+                        [&result](tbon::ReduceResult<SumPayload> r) {
+                          result = std::move(r);
+                        });
+    simulator.run();
+    return result;
+  };
+
+  std::optional<tbon::RecoveryReport> report;
+  simulator.schedule_at(SimTime{10}, [&]() { reduction.mark_dead(victim); });
+  simulator.schedule_at(seconds(0.01),
+                        [&]() { report = reduction.recover(victim); });
+  const auto first = round(0);
+  ASSERT_TRUE(first.has_value()) << "merge stalled";
+  EXPECT_EQ(first->payload.sum, expected);
+  EXPECT_EQ(first->payload.contributions, layout.num_daemons);
+  ASSERT_TRUE(report.has_value());
+  ASSERT_TRUE(report->acted);
+  EXPECT_EQ(report->orphan_daemons, orphans);
+
+  // From scratch: a fresh engine, one round over the same daemons.
+  std::optional<tbon::ReduceResult<SumPayload>> scratch;
+  {
+    sim::Simulator fresh_sim;
+    net::Network fresh_net(fresh_sim, net::build_switch_graph(m));
+    tbon::Reduction<SumPayload> fresh(fresh_sim, fresh_net, topo,
+                                      delta_sum_ops());
+    fresh.run_round(0, leaves, [&scratch](tbon::ReduceResult<SumPayload> r) {
+      scratch = std::move(r);
+    });
+    fresh_sim.run();
+  }
+  ASSERT_TRUE(scratch.has_value());
+
+  // Same leaves again: only the re-parented leaves resend, and only the
+  // adopters that took them plus the front end re-merge.
+  const auto second = round(1);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->payload, scratch->payload);
+  EXPECT_TRUE(second->changed);
+  EXPECT_EQ(second->changed_daemons, orphans);
+  const std::uint32_t adopters_used = std::min(orphans, report->adopters);
+  EXPECT_EQ(second->remerged_procs, adopters_used + 1);
+  EXPECT_EQ(second->cached_procs, alive_internal - adopters_used - 1);
+
+  // And the repaired caches answer a quiet round on their own.
+  const auto third = round(2);
+  ASSERT_TRUE(third.has_value());
+  EXPECT_FALSE(third->changed);
+  EXPECT_EQ(third->payload, scratch->payload);
+  EXPECT_EQ(third->remerged_procs, 0u);
+  EXPECT_EQ(third->changed_daemons, 0u);
 }
 
 TEST(ReductionRecovery, WholeShardOfDeadDaemonsStillCompletes) {
@@ -278,9 +434,10 @@ TEST(ReductionRecovery, WholeShardOfDeadDaemonsStillCompletes) {
   }
 
   std::optional<tbon::ReduceResult<SumPayload>> result;
-  reduction.start(std::move(leaves), [&result](tbon::ReduceResult<SumPayload> r) {
-    result = std::move(r);
-  });
+  reduction.run_round(0, std::move(leaves),
+                      [&result](tbon::ReduceResult<SumPayload> r) {
+                        result = std::move(r);
+                      });
   simulator.run();
   ASSERT_TRUE(result.has_value()) << "merge stalled on the dead shard";
   EXPECT_EQ(result->payload.sum, expected);

@@ -607,12 +607,14 @@ TEST(Topology, ConnectTimeGrowsWithFanout) {
 struct SumPayload {
   std::uint64_t sum = 0;
   std::uint32_t contributions = 0;
+
+  friend bool operator==(const SumPayload&, const SumPayload&) = default;
 };
 
 ReduceOps<SumPayload> sum_ops() {
   ReduceOps<SumPayload> ops;
   ops.merge_cpu = [](const SumPayload&) { return SimTime{100}; };
-  ops.merge_into = [](SumPayload& acc, SumPayload&& child) {
+  ops.merge_into = [](SumPayload& acc, const SumPayload& child) {
     acc.sum += child.sum;
     acc.contributions += child.contributions;
   };
@@ -642,8 +644,10 @@ TEST_P(ReductionCorrectness, SumsAllLeavesExactlyOnce) {
   }
 
   std::optional<ReduceResult<SumPayload>> result;
-  reduction.start(std::move(leaves),
-                  [&result](ReduceResult<SumPayload> r) { result = std::move(r); });
+  reduction.run_round(0, std::move(leaves),
+                      [&result](ReduceResult<SumPayload> r) {
+                        result = std::move(r);
+                      });
   simulator.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->payload.sum, expected);
@@ -672,8 +676,10 @@ TEST(Reduction, DeeperTreesReduceFrontEndWork) {
     Reduction<SumPayload> reduction(simulator, network, topo, ops);
     std::vector<SumPayload> leaves(layout.num_daemons, SumPayload{1, 1});
     SimTime finish = 0;
-    reduction.start(std::move(leaves),
-                    [&finish](ReduceResult<SumPayload> r) { finish = r.finished_at; });
+    reduction.run_round(0, std::move(leaves),
+                        [&finish](ReduceResult<SumPayload> r) {
+                          finish = r.finished_at;
+                        });
     simulator.run();
     return finish;
   };
@@ -689,7 +695,8 @@ TEST(Reduction, PayloadCountMismatchThrows) {
   net::Network network(simulator, net::build_switch_graph(m));
   Reduction<SumPayload> reduction(simulator, network, topo, sum_ops());
   std::vector<SumPayload> wrong(3);
-  EXPECT_THROW(reduction.start(std::move(wrong), nullptr), std::logic_error);
+  EXPECT_THROW(reduction.run_round(0, std::move(wrong), nullptr),
+               std::logic_error);
 }
 
 TEST(Multicast, ReachesEveryLeafOnce) {
