@@ -23,6 +23,16 @@ namespace petastat {
 /// (INVALID_ARGUMENT "truncated buffer").
 inline constexpr std::uint8_t kWireFormatVersion = 1;
 
+/// Bytes ByteSink::put_varint writes for `v`: one per started 7-bit group.
+[[nodiscard]] constexpr std::uint64_t varint_bytes(std::uint64_t v) {
+  std::uint64_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 /// Append-only byte sink with varint and fixed-width encoders.
 class ByteSink {
  public:

@@ -130,8 +130,8 @@ void profile_with_label(const app::AppModel& app,
 }
 
 /// Synthesizes one daemon's single-sample streaming snapshot exactly as the
-/// scenario's streaming sink would (stat::StreamSnapshot: one tree, label
-/// seeded per representation).
+/// scenario's streaming sink would (stat::StreamSnapshot: one tree, traces
+/// added through stat::add_trace).
 template <typename Label>
 stat::StreamSnapshot<Label> synthesize_snapshot(
     const app::AppModel& app, const machine::DaemonLayout& layout,
@@ -143,13 +143,7 @@ stat::StreamSnapshot<Label> synthesize_snapshot(
     const TaskId task = TaskId(task_map.global_rank(daemon, t));
     for (std::uint32_t th = 0; th < threads; ++th) {
       const app::CallPath path = app.stack(task, th, /*sample=*/0);
-      Label seed;
-      if constexpr (std::is_same_v<Label, stat::GlobalLabel>) {
-        seed = stat::GlobalLabel::for_task(task.value());
-      } else {
-        seed = stat::HierLabel::for_local(daemon, t);
-      }
-      snapshot.tree.insert(path, seed);
+      stat::add_trace(snapshot.tree, path, daemon, t, task);
     }
   }
   return snapshot;

@@ -25,28 +25,41 @@ struct StatPayload {
   PrefixTree<Label> tree_2d;
   PrefixTree<Label> tree_3d;
 
+  void shrink_to_fit() {
+    tree_2d.shrink_to_fit();
+    tree_3d.shrink_to_fit();
+  }
+
   friend bool operator==(const StatPayload&, const StatPayload&) = default;
 };
 
-/// Folds one gathered trace into a daemon's payload: the first sample seeds
-/// the 2D trace/space tree, every sample the 3D trace/space/time tree, with
-/// the label seeded per representation (global rank vs daemon-local slot).
-/// One formulation, two consumers: the scenario's sampling sinks and the
-/// planner's workload probe both fold traces through here, so predicted
-/// payloads are built by exactly the rule the simulator merges with.
+/// Adds one gathered trace to a tree in place, keyed per representation:
+/// the global rank for GlobalLabel, the daemon-local slot for HierLabel.
+/// The one trace-add rule: the scenario's sampling and streaming sinks, the
+/// planner's workload probe and statbench all fold traces through here, so
+/// predicted payloads are built by exactly the rule the simulator merges
+/// with.
+template <typename Label>
+void add_trace(PrefixTree<Label>& tree, const app::CallPath& path,
+               [[maybe_unused]] std::uint32_t daemon,
+               [[maybe_unused]] std::uint32_t local_index,
+               [[maybe_unused]] TaskId task) {
+  if constexpr (std::is_same_v<Label, GlobalLabel>) {
+    tree.insert(path, task.value());
+  } else {
+    tree.insert(path, {daemon, local_index});
+  }
+}
+
+/// Folds one gathered trace into a daemon's payload: the first sample goes
+/// into the 2D trace/space tree, every sample into the 3D trace/space/time
+/// tree.
 template <typename Label>
 void insert_trace(StatPayload<Label>& payload, const app::CallPath& path,
-                  [[maybe_unused]] std::uint32_t daemon,
-                  [[maybe_unused]] std::uint32_t local_index,
-                  [[maybe_unused]] TaskId task, std::uint32_t sample) {
-  Label seed;
-  if constexpr (std::is_same_v<Label, GlobalLabel>) {
-    seed = GlobalLabel::for_task(task.value());
-  } else {
-    seed = HierLabel::for_local(daemon, local_index);
-  }
-  if (sample == 0) payload.tree_2d.insert(path, seed);
-  payload.tree_3d.insert(path, seed);
+                  std::uint32_t daemon, std::uint32_t local_index,
+                  TaskId task, std::uint32_t sample) {
+  if (sample == 0) add_trace(payload.tree_2d, path, daemon, local_index, task);
+  add_trace(payload.tree_3d, path, daemon, local_index, task);
 }
 
 template <typename Label>

@@ -12,16 +12,23 @@ HierTaskSet HierTaskSet::single(std::uint32_t daemon,
   return s;
 }
 
-void HierTaskSet::insert(std::uint32_t daemon, std::uint32_t local_index) {
+HierTaskSet::Block& HierTaskSet::block_for(std::uint32_t daemon) {
+  // Tail fast path: a daemon's own labels hold one block, and TBON folds
+  // visit daemons in ascending order.
+  if (blocks_.empty() || blocks_.back().daemon < daemon) {
+    return blocks_.emplace_back(Block{daemon, {}});
+  }
+  if (blocks_.back().daemon == daemon) return blocks_.back();
   auto it = std::lower_bound(blocks_.begin(), blocks_.end(), daemon,
                              [](const Block& b, std::uint32_t d) {
                                return b.daemon < d;
                              });
-  if (it != blocks_.end() && it->daemon == daemon) {
-    it->local.insert(local_index);
-  } else {
-    blocks_.insert(it, {daemon, TaskSet::single(local_index)});
-  }
+  if (it != blocks_.end() && it->daemon == daemon) return *it;
+  return *blocks_.insert(it, Block{daemon, {}});
+}
+
+void HierTaskSet::insert(std::uint32_t daemon, std::uint32_t local_index) {
+  block_for(daemon).local.insert(local_index);
 }
 
 void HierTaskSet::merge(const HierTaskSet& other) {
@@ -30,6 +37,17 @@ void HierTaskSet::merge(const HierTaskSet& other) {
     blocks_ = other.blocks_;
     return;
   }
+  // In place for one block, and for the disjoint append TBON folds produce
+  // (`other` starts at or past our last daemon): each block lands on the
+  // tail.
+  if (other.blocks_.size() == 1 ||
+      other.blocks_.front().daemon >= blocks_.back().daemon) {
+    for (const Block& block : other.blocks_) {
+      block_for(block.daemon).local.union_with(block.local);
+    }
+    return;
+  }
+  // Genuine interleave: two-pointer merge into a fresh list.
   std::vector<Block> result;
   result.reserve(blocks_.size() + other.blocks_.size());
   std::size_t i = 0, j = 0;
@@ -73,9 +91,17 @@ Result<HierTaskSet> HierTaskSet::decode(ByteSource& source) {
 }
 
 std::uint64_t HierTaskSet::body_wire_bytes() const {
-  ByteSink sink;
-  encode_body(sink);
-  return sink.size();
+  // Arithmetic twin of encode_body: the same varints, only counted.
+  std::uint64_t bytes = varint_bytes(blocks_.size());
+  std::uint32_t prev = 0;
+  bool first = true;
+  for (const auto& block : blocks_) {
+    bytes += varint_bytes(first ? block.daemon : block.daemon - prev - 1);
+    bytes += block.local.ranged_body_bytes();
+    prev = block.daemon;
+    first = false;
+  }
+  return bytes;
 }
 
 void HierTaskSet::encode_body(ByteSink& sink) const {
@@ -149,17 +175,18 @@ std::uint32_t TaskMap::global_rank(std::uint32_t daemon,
 }
 
 TaskSet TaskMap::remap(const HierTaskSet& hier) const {
-  TaskSet out;
+  // Each local interval maps to one global interval shifted by its block's
+  // base (daemons own contiguous rank blocks). Shuffled daemons leave the
+  // shifted intervals out of order: collect them all, then sort once.
+  std::vector<TaskSet::Interval> shifted;
   for (const auto& block : hier.blocks()) {
     check(block.daemon < base_rank_.size(), "TaskMap::remap unknown daemon");
     const std::uint32_t base = base_rank_[block.daemon];
-    // Each local interval maps to one global interval shifted by the block
-    // base; daemons own contiguous rank blocks.
     for (const auto& iv : block.local.intervals()) {
-      out.insert_range(base + iv.lo, base + iv.hi);
+      shifted.push_back({base + iv.lo, base + iv.hi});
     }
   }
-  return out;
+  return TaskSet::from_intervals(std::move(shifted));
 }
 
 }  // namespace petastat::stat

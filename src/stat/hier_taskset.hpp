@@ -37,13 +37,21 @@ class HierTaskSet {
 
   /// Merge another subtree's membership into this one. Sibling subtrees
   /// cover disjoint daemons, so this is concatenation; same-daemon blocks
-  /// (re-merging within one daemon) union their local sets.
+  /// (re-merging within one daemon) union their local sets. In place for a
+  /// single-block operand and for a disjoint append; only a genuine
+  /// interleave allocates a merged list.
   void merge(const HierTaskSet& other);
 
+  /// In place; an insert into the last daemon's block touches only it.
   void insert(std::uint32_t daemon, std::uint32_t local_index);
 
   [[nodiscard]] std::uint64_t count() const;
   [[nodiscard]] bool empty() const { return blocks_.empty(); }
+  /// Releases spare capacity of the block list and every block's set.
+  void shrink_to_fit() {
+    blocks_.shrink_to_fit();
+    for (Block& block : blocks_) block.local.shrink_to_fit();
+  }
   [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
 
   friend bool operator==(const HierTaskSet&, const HierTaskSet&) = default;
@@ -55,11 +63,15 @@ class HierTaskSet {
   [[nodiscard]] std::uint64_t wire_bytes() const;
   void encode(ByteSink& sink) const;
   static Result<HierTaskSet> decode(ByteSource& source);
+  /// Computed arithmetically (exactly what encode_body writes).
   [[nodiscard]] std::uint64_t body_wire_bytes() const;
   void encode_body(ByteSink& sink) const;
   static Result<HierTaskSet> decode_body(ByteSource& source);
 
  private:
+  /// The block of `daemon`, created empty in sorted position if missing.
+  Block& block_for(std::uint32_t daemon);
+
   std::vector<Block> blocks_;  // sorted by daemon
 };
 
@@ -81,7 +93,8 @@ class TaskMap {
   [[nodiscard]] std::uint32_t global_rank(std::uint32_t daemon,
                                           std::uint32_t local_index) const;
 
-  /// Remaps a hierarchical set to global MPI ranks (the Fig. 6b remap).
+  /// Remaps a hierarchical set to global MPI ranks (the Fig. 6b remap):
+  /// every shifted interval is collected, sorted once and coalesced.
   [[nodiscard]] TaskSet remap(const HierTaskSet& hier) const;
 
   [[nodiscard]] std::uint32_t num_daemons() const {

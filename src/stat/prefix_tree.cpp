@@ -7,9 +7,10 @@ namespace {
 void remap_children(const HierTree::Node& from, GlobalTree::Node& into,
                     const TaskMap& map) {
   for (const auto& child : from.children) {
+    // Sibling frames are unique, so every target is fresh: the remapped
+    // set moves in.
     GlobalTree::Node& target = into.ensure_child(child.frame);
-    target.label.tasks.union_with(map.remap(child.label.tasks));
-    target.label.visits += child.label.visits;
+    target.label = {map.remap(child.label.tasks), child.label.visits};
     remap_children(child, target, map);
   }
 }

@@ -38,8 +38,13 @@ struct GlobalLabel {
   TaskSet tasks;
   std::uint64_t visits = 0;  // total trace insertions (time dimension)
 
-  static GlobalLabel for_task(std::uint32_t task) {
-    return {TaskSet::single(task), 1};
+  /// What names a trace's task in this label space: its global MPI rank.
+  using Key = std::uint32_t;
+
+  /// One more trace of `task` crosses this edge (in place).
+  void add(Key task) {
+    tasks.insert(task);
+    ++visits;
   }
 
   void merge(const GlobalLabel& other) {
@@ -48,6 +53,7 @@ struct GlobalLabel {
   }
 
   [[nodiscard]] std::uint64_t member_count() const { return tasks.count(); }
+  void shrink_to_fit() { tasks.shrink_to_fit(); }
 
   [[nodiscard]] std::uint64_t wire_bytes(const LabelContext& ctx) const {
     // Dense bit vector sized for the whole job plus the visit counter.
@@ -73,8 +79,16 @@ struct HierLabel {
   HierTaskSet tasks;
   std::uint64_t visits = 0;
 
-  static HierLabel for_local(std::uint32_t daemon, std::uint32_t local_index) {
-    return {HierTaskSet::single(daemon, local_index), 1};
+  /// What names a trace's task in this label space: its daemon-local slot.
+  struct Key {
+    std::uint32_t daemon = 0;
+    std::uint32_t local_index = 0;
+  };
+
+  /// One more trace of `key` crosses this edge (in place).
+  void add(const Key& key) {
+    tasks.insert(key.daemon, key.local_index);
+    ++visits;
   }
 
   void merge(const HierLabel& other) {
@@ -83,6 +97,7 @@ struct HierLabel {
   }
 
   [[nodiscard]] std::uint64_t member_count() const { return tasks.count(); }
+  void shrink_to_fit() { tasks.shrink_to_fit(); }
 
   // Labels are nested inside the tree's versioned envelope: body form only.
   [[nodiscard]] std::uint64_t wire_bytes(const LabelContext&) const {
@@ -134,14 +149,19 @@ class PrefixTree {
 
   PrefixTree() { root_.frame = FrameId::invalid(); }
 
-  /// Inserts one trace: `seed` is merged into every edge along the path.
-  void insert(std::span<const FrameId> path, const Label& seed) {
+  /// Inserts one trace: `key` is added in place to every edge label along
+  /// the path.
+  void insert(std::span<const FrameId> path, const typename Label::Key& key) {
     Node* node = &root_;
     for (const FrameId frame : path) {
       node = &node->ensure_child(frame);
-      node->label.merge(seed);
+      node->label.add(key);
     }
   }
+
+  /// Releases the spare capacity in-place insertion leaves in every node's
+  /// children and label (for a finished payload that waits to be merged).
+  void shrink_to_fit() { shrink_node(root_); }
 
   /// Real structural merge of another tree into this one.
   void merge(const PrefixTree& other) { merge_children(root_, other.root_); }
@@ -214,6 +234,12 @@ class PrefixTree {
       target.label.merge(child.label);
       merge_children(target, child);
     }
+  }
+
+  static void shrink_node(Node& node) {
+    node.label.shrink_to_fit();
+    node.children.shrink_to_fit();
+    for (Node& child : node.children) shrink_node(child);
   }
 
   static std::size_t count_nodes(const Node& node) {

@@ -650,23 +650,25 @@ StatRunResult StatScenario::run_impl() {
   SimTime sample_end = sample_start;
   for (std::uint32_t d = 0; d < num_daemons; ++d) {
     if (daemon_dead[d]) continue;
-    stackwalker::TraceSink sink;
+    // The walker delivers a daemon's traces sample by sample in task and
+    // thread order; after the last one the payload only waits for the
+    // merge, so it is trimmed to size while the other daemons sample.
     const std::uint32_t daemon_id = d;
-    if (dense) {
-      auto* payload = &dense_payloads[d];
-      sink = [payload, daemon_id](TaskId task, std::uint32_t local,
-                                  std::uint32_t, std::uint32_t sample,
-                                  const app::CallPath& path) {
+    const std::uint32_t last_local = layout_.tasks_of(DaemonId(d)) - 1;
+    const std::uint32_t last_thread = app_->threads_per_task() - 1;
+    const std::uint32_t last_sample = options_.num_samples - 1;
+    const auto sink_into = [&](auto* payload) -> stackwalker::TraceSink {
+      return [=](TaskId task, std::uint32_t local, std::uint32_t thread,
+                 std::uint32_t sample, const app::CallPath& path) {
         insert_trace(*payload, path, daemon_id, local, task, sample);
+        if (sample == last_sample && local == last_local &&
+            thread == last_thread) {
+          payload->shrink_to_fit();
+        }
       };
-    } else {
-      auto* payload = &hier_payloads[d];
-      sink = [payload, daemon_id](TaskId task, std::uint32_t local,
-                                  std::uint32_t, std::uint32_t sample,
-                                  const app::CallPath& path) {
-        insert_trace(*payload, path, daemon_id, local, task, sample);
-      };
-    }
+    };
+    const stackwalker::TraceSink sink =
+        dense ? sink_into(&dense_payloads[d]) : sink_into(&hier_payloads[d]);
     walker_->sample_daemon(
         DaemonId(d), options_.num_samples, sink,
         [&phases, &sample_end](const stackwalker::SampleReport& report) {
@@ -1038,13 +1040,7 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
           [snapshot, daemon_id](TaskId task, std::uint32_t local,
                                 std::uint32_t, std::uint32_t,
                                 const app::CallPath& path) {
-            Label seed;
-            if constexpr (std::is_same_v<Label, GlobalLabel>) {
-              seed = GlobalLabel::for_task(task.value());
-            } else {
-              seed = HierLabel::for_local(daemon_id, local);
-            }
-            snapshot->tree.insert(path, seed);
+            add_trace(snapshot->tree, path, daemon_id, local, task);
           };
       walker_->sample_daemon_from(
           DaemonId(d), s, 1, sink,

@@ -22,9 +22,16 @@ TaskSet TaskSet::range(std::uint32_t lo, std::uint32_t hi) {
   return s;
 }
 
-TaskSet TaskSet::from_sorted(std::span<const std::uint32_t> sorted_unique) {
+TaskSet TaskSet::from_intervals(std::vector<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   TaskSet s;
-  for (const auto v : sorted_unique) s.insert(v);
+  s.intervals_.reserve(intervals.size());
+  for (const Interval& iv : intervals) {
+    check(iv.lo <= iv.hi, "TaskSet::from_intervals lo > hi");
+    s.append_range(iv.lo, iv.hi);
+  }
+  s.intervals_.shrink_to_fit();
   return s;
 }
 
@@ -32,6 +39,12 @@ void TaskSet::insert(std::uint32_t task) { insert_range(task, task); }
 
 void TaskSet::insert_range(std::uint32_t lo, std::uint32_t hi) {
   check(lo <= hi, "TaskSet::insert_range lo > hi");
+  // Tail fast path: traces arrive in task order, so nearly every insert
+  // appends past the last interval or lands on it.
+  if (intervals_.empty() || lo >= intervals_.back().lo) {
+    append_range(lo, hi);
+    return;
+  }
   // Find the first interval that could touch [lo, hi] (adjacency counts).
   auto it = std::lower_bound(
       intervals_.begin(), intervals_.end(), lo,
@@ -53,13 +66,34 @@ void TaskSet::insert_range(std::uint32_t lo, std::uint32_t hi) {
   }
 }
 
+void TaskSet::append_range(std::uint32_t lo, std::uint32_t hi) {
+  if (!intervals_.empty()) {
+    Interval& last = intervals_.back();
+    if (last.hi == UINT32_MAX || lo <= last.hi + 1) {
+      last.hi = std::max(last.hi, hi);
+      return;
+    }
+  }
+  intervals_.push_back({lo, hi});
+}
+
 void TaskSet::union_with(const TaskSet& other) {
   if (other.intervals_.empty()) return;
   if (intervals_.empty()) {
     intervals_ = other.intervals_;
     return;
   }
-  // Linear two-pointer merge of sorted interval lists.
+  if (other.intervals_.size() == 1) {
+    insert_range(other.intervals_.front().lo, other.intervals_.front().hi);
+    return;
+  }
+  // Disjoint append (a TBON fold of ascending subtrees): every interval of
+  // `other` starts at or past our last one, so each lands on the tail.
+  if (other.intervals_.front().lo >= intervals_.back().lo) {
+    for (const Interval& iv : other.intervals_) append_range(iv.lo, iv.hi);
+    return;
+  }
+  // Genuine interleave: linear two-pointer merge of sorted interval lists.
   std::vector<Interval> result;
   result.reserve(intervals_.size() + other.intervals_.size());
   std::size_t i = 0, j = 0;
@@ -212,9 +246,17 @@ Result<TaskSet> TaskSet::decode_ranged(ByteSource& source) {
 }
 
 std::uint64_t TaskSet::ranged_body_bytes() const {
-  ByteSink sink;
-  encode_ranged_body(sink);
-  return sink.size();
+  // Arithmetic twin of encode_ranged_body: the same varints, only counted.
+  std::uint64_t bytes = varint_bytes(intervals_.size());
+  std::uint32_t prev_hi = 0;
+  bool first = true;
+  for (const auto& iv : intervals_) {
+    bytes += varint_bytes(first ? iv.lo : iv.lo - prev_hi - 1);
+    bytes += varint_bytes(iv.hi - iv.lo);
+    prev_hi = iv.hi;
+    first = false;
+  }
+  return bytes;
 }
 
 void TaskSet::encode_ranged_body(ByteSink& sink) const {

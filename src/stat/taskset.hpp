@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,11 +43,20 @@ class TaskSet {
   static TaskSet single(std::uint32_t task);
   /// Contiguous [lo, hi] inclusive.
   static TaskSet range(std::uint32_t lo, std::uint32_t hi);
-  static TaskSet from_sorted(std::span<const std::uint32_t> sorted_unique);
+  /// Intervals in any order, possibly overlapping or adjacent: sorted once,
+  /// then coalesced.
+  static TaskSet from_intervals(std::vector<Interval> intervals);
 
+  /// In place. An insert at or past the last interval's start (traces arrive
+  /// in task order) touches only the tail; earlier ones binary-search.
   void insert(std::uint32_t task);
   void insert_range(std::uint32_t lo, std::uint32_t hi);
+  /// In place for a single interval and for a disjoint append (`other`
+  /// starts at or past our last interval, as TBON folds of ascending
+  /// subtrees produce); only a genuine interleave allocates a merged list.
   void union_with(const TaskSet& other);
+  /// Releases spare vector capacity (for a finished, long-lived label).
+  void shrink_to_fit() { intervals_.shrink_to_fit(); }
 
   [[nodiscard]] bool contains(std::uint32_t task) const;
   [[nodiscard]] bool empty() const { return intervals_.empty(); }
@@ -87,11 +95,15 @@ class TaskSet {
   [[nodiscard]] std::uint64_t ranged_wire_bytes() const;
   void encode_ranged(ByteSink& sink) const;
   static Result<TaskSet> decode_ranged(ByteSource& source);
+  /// Computed arithmetically (exactly what encode_ranged_body writes).
   [[nodiscard]] std::uint64_t ranged_body_bytes() const;
   void encode_ranged_body(ByteSink& sink) const;
   static Result<TaskSet> decode_ranged_body(ByteSource& source);
 
  private:
+  // Tail insert: requires `intervals_` empty or lo >= the last interval's lo.
+  void append_range(std::uint32_t lo, std::uint32_t hi);
+
   std::vector<Interval> intervals_;
 };
 

@@ -71,9 +71,9 @@ SessionCheckpoint hand_built() {
   const LabelContext ctx{16};
   GlobalTree tree;
   tree.insert(frames.make_path({"_start", "main", "MPI_Barrier"}),
-              GlobalLabel::for_task(3));
+              3);
   tree.insert(frames.make_path({"_start", "main", "compute"}),
-              GlobalLabel::for_task(4));
+              4);
   ByteSink sink;
   tree.encode(sink, frames, ctx);
   cp.tree_2d_wire = sink.take();

@@ -184,9 +184,9 @@ TEST(CorruptPrefixTree, TruncationsAndFlipsNeverCrash) {
   GlobalTree tree;
   const LabelContext ctx{16};
   tree.insert(frames.make_path({"_start", "main", "MPI_Barrier"}),
-              GlobalLabel::for_task(3));
+              3);
   tree.insert(frames.make_path({"_start", "main", "compute"}),
-              GlobalLabel::for_task(4));
+              4);
   ByteSink sink;
   tree.encode(sink, frames, ctx);
   const Bytes encoded = sink.take();
@@ -204,9 +204,9 @@ TEST(CorruptHierTree, TruncationsAndFlipsNeverCrash) {
   HierTree tree;
   const LabelContext ctx{16};
   tree.insert(frames.make_path({"_start", "main", "MPI_Recv"}),
-              HierLabel::for_local(0, 1));
+              HierLabel::Key{0, 1});
   tree.insert(frames.make_path({"_start", "main", "poll"}),
-              HierLabel::for_local(1, 0));
+              HierLabel::Key{1, 0});
   ByteSink sink;
   tree.encode(sink, frames, ctx);
   const Bytes encoded = sink.take();
@@ -254,7 +254,7 @@ TEST(WireVersion, AllVersionedFormatsRejectSkew) {
   app::FrameTable frames;
   const LabelContext ctx{16};
   GlobalTree tree;
-  tree.insert(frames.make_path({"_start", "main"}), GlobalLabel::for_task(1));
+  tree.insert(frames.make_path({"_start", "main"}), 1);
 
   {
     ByteSink sink;

@@ -146,8 +146,8 @@ TEST(ReductionSemantics, TreeReductionEqualsSequentialMerge) {
   for (std::uint32_t t = 0; t < 512; ++t) {
     for (std::uint32_t s = 0; s < 3; ++s) {
       const auto path = app.stack(TaskId(t), 0, s);
-      locals[t / 8].insert(path, GlobalLabel::for_task(t));
-      sequential.insert(path, GlobalLabel::for_task(t));
+      locals[t / 8].insert(path, t);
+      sequential.insert(path, t);
     }
   }
 
@@ -178,7 +178,7 @@ TEST(FoldedStacks, VisitWeightingCountsAllTraces) {
   const std::uint32_t samples = 5;
   for (std::uint32_t t = 0; t < 64; ++t) {
     for (std::uint32_t s = 0; s < samples; ++s) {
-      tree.insert(app.stack(TaskId(t), 0, s), GlobalLabel::for_task(t));
+      tree.insert(app.stack(TaskId(t), 0, s), t);
     }
   }
   const std::string folded = to_folded(tree, app.frames(), /*by_visits=*/true);

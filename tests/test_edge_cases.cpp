@@ -77,7 +77,7 @@ TEST(EdgeCases, EmptyTreeBehaviour) {
 
   // Merging an empty tree is a no-op; merging into empty copies.
   stat::GlobalTree other;
-  other.insert(frames.make_path({"a"}), stat::GlobalLabel::for_task(0));
+  other.insert(frames.make_path({"a"}), 0);
   tree.merge(other);
   EXPECT_EQ(tree.node_count(), 1u);
   stat::GlobalTree empty;
@@ -90,7 +90,7 @@ TEST(EdgeCases, SingleFramePathsAndDuplicateInserts) {
   stat::GlobalTree tree;
   const auto path = frames.make_path({"only_frame"});
   for (int i = 0; i < 100; ++i) {
-    tree.insert(path, stat::GlobalLabel::for_task(7));
+    tree.insert(path, 7);
   }
   EXPECT_EQ(tree.node_count(), 1u);
   const auto& node = tree.root().children.front();

@@ -16,8 +16,8 @@ struct FilterFixture : ::testing::Test {
   StatPayload<GlobalLabel> payload_for(std::uint32_t task) {
     StatPayload<GlobalLabel> payload;
     const auto path = frames.make_path({"_start", "main", "work"});
-    payload.tree_2d.insert(path, GlobalLabel::for_task(task));
-    payload.tree_3d.insert(path, GlobalLabel::for_task(task));
+    payload.tree_2d.insert(path, task);
+    payload.tree_3d.insert(path, task);
     return payload;
   }
 };
@@ -48,8 +48,8 @@ TEST_F(FilterFixture, CpuCostScalesWithChildSize) {
   for (std::uint32_t i = 0; i < 50; ++i) {
     const auto path = frames.make_path(
         {"_start", "main", "f" + std::to_string(i), "g" + std::to_string(i)});
-    big.tree_3d.insert(path, GlobalLabel::for_task(i));
-    big.tree_2d.insert(path, GlobalLabel::for_task(i));
+    big.tree_3d.insert(path, i);
+    big.tree_2d.insert(path, i);
   }
 
   const SimTime cpu_small = ops.merge_cpu(small);
@@ -73,8 +73,8 @@ TEST_F(FilterFixture, WireBytesReflectRepresentationAndJobSize) {
 
   StatPayload<HierLabel> hier;
   const auto path = frames.make_path({"_start", "main", "work"});
-  hier.tree_2d.insert(path, HierLabel::for_local(0, 1));
-  hier.tree_3d.insert(path, HierLabel::for_local(0, 1));
+  hier.tree_2d.insert(path, HierLabel::Key{0, 1});
+  hier.tree_3d.insert(path, HierLabel::Key{0, 1});
   EXPECT_EQ(payload_wire_bytes(hier, frames, LabelContext{1024}),
             payload_wire_bytes(hier, frames, LabelContext{212992}));
 }
@@ -92,8 +92,8 @@ TEST_F(FilterFixture, HierOpsConcatenateDaemonBlocks) {
   auto ops = make_stat_reduce_ops<HierLabel>(costs, frames, ctx);
   const auto path = frames.make_path({"_start", "main"});
   StatPayload<HierLabel> a, b, acc;
-  a.tree_3d.insert(path, HierLabel::for_local(0, 5));
-  b.tree_3d.insert(path, HierLabel::for_local(7, 2));
+  a.tree_3d.insert(path, HierLabel::Key{0, 5});
+  b.tree_3d.insert(path, HierLabel::Key{7, 2});
   ops.merge_into(acc, std::move(a));
   ops.merge_into(acc, std::move(b));
   const auto* start = acc.tree_3d.root().find_child(frames.intern("_start"));

@@ -19,8 +19,8 @@ struct TreeFixture : ::testing::Test {
 
 TEST_F(TreeFixture, InsertBuildsSharedPrefixes) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main", "PMPI_Barrier"}), GlobalLabel::for_task(0));
-  tree.insert(path({"_start", "main", "PMPI_Waitall"}), GlobalLabel::for_task(1));
+  tree.insert(path({"_start", "main", "PMPI_Barrier"}), 0);
+  tree.insert(path({"_start", "main", "PMPI_Waitall"}), 1);
   EXPECT_EQ(tree.node_count(), 4u);  // _start, main, Barrier, Waitall
   EXPECT_EQ(tree.depth(), 3u);
 
@@ -35,7 +35,7 @@ TEST_F(TreeFixture, InsertBuildsSharedPrefixes) {
 TEST_F(TreeFixture, InsertAccumulatesVisits) {
   GlobalTree tree;
   for (int s = 0; s < 10; ++s) {
-    tree.insert(path({"_start", "main"}), GlobalLabel::for_task(3));
+    tree.insert(path({"_start", "main"}), 3);
   }
   const auto* start = tree.root().find_child(frames.intern("_start"));
   EXPECT_EQ(start->label.visits, 10u);
@@ -53,8 +53,8 @@ TEST_F(TreeFixture, MergeEqualsInsertingAllPaths) {
   for (std::uint32_t t = 0; t < 256; ++t) {
     for (std::uint32_t s = 0; s < 3; ++s) {
       const auto p = app.stack(TaskId(t), 0, s);
-      direct.insert(p, GlobalLabel::for_task(t));
-      daemon_trees[t / 32].insert(p, GlobalLabel::for_task(t));
+      direct.insert(p, t);
+      daemon_trees[t / 32].insert(p, t);
     }
   }
   GlobalTree merged;
@@ -72,8 +72,8 @@ TEST_F(TreeFixture, MergeIsCommutativeAndAssociative) {
       for (int d = 0; d < depth; ++d) {
         p.push_back(frames.intern("f" + std::to_string(rng.next_below(5))));
       }
-      t.insert(p, GlobalLabel::for_task(
-                      static_cast<std::uint32_t>(rng.next_below(64))));
+      t.insert(p, 
+                      static_cast<std::uint32_t>(rng.next_below(64)));
     }
     return t;
   };
@@ -98,7 +98,7 @@ TEST_F(TreeFixture, ChildrenStaySortedByFrame) {
   GlobalTree tree;
   for (int i = 9; i >= 0; --i) {
     tree.insert(path({"root", "f" + std::to_string(i)}),
-                GlobalLabel::for_task(static_cast<std::uint32_t>(i)));
+                static_cast<std::uint32_t>(i));
   }
   const auto* root = tree.root().find_child(frames.intern("root"));
   for (std::size_t i = 1; i < root->children.size(); ++i) {
@@ -108,7 +108,7 @@ TEST_F(TreeFixture, ChildrenStaySortedByFrame) {
 
 TEST_F(TreeFixture, WireBytesDenseScalesWithJobSize) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main", "leaf"}), GlobalLabel::for_task(0));
+  tree.insert(path({"_start", "main", "leaf"}), 0);
   const std::uint64_t small = tree.wire_bytes(frames, LabelContext{1024});
   const std::uint64_t big = tree.wire_bytes(frames, LabelContext{212992});
   EXPECT_GT(big, small * 100);  // dense labels dominated by job size
@@ -116,7 +116,7 @@ TEST_F(TreeFixture, WireBytesDenseScalesWithJobSize) {
 
 TEST_F(TreeFixture, WireBytesHierIndependentOfJobSize) {
   HierTree tree;
-  tree.insert(path({"_start", "main", "leaf"}), HierLabel::for_local(0, 0));
+  tree.insert(path({"_start", "main", "leaf"}), HierLabel::Key{0, 0});
   EXPECT_EQ(tree.wire_bytes(frames, LabelContext{1024}),
             tree.wire_bytes(frames, LabelContext{212992}));
 }
@@ -140,23 +140,23 @@ void roundtrip_test(app::FrameTable& frames, const PrefixTree<Label>& tree,
 
 TEST_F(TreeFixture, GlobalTreeSerializationRoundtrips) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main", "PMPI_Barrier"}), GlobalLabel::for_task(7));
+  tree.insert(path({"_start", "main", "PMPI_Barrier"}), 7);
   tree.insert(path({"_start", "main", "PMPI_Waitall", "poll"}),
-              GlobalLabel::for_task(9));
+              9);
   roundtrip_test(frames, tree, LabelContext{16});
 }
 
 TEST_F(TreeFixture, HierTreeSerializationRoundtrips) {
   HierTree tree;
-  tree.insert(path({"_start", "main", "a"}), HierLabel::for_local(3, 1));
-  tree.insert(path({"_start", "main", "b"}), HierLabel::for_local(5, 0));
+  tree.insert(path({"_start", "main", "a"}), HierLabel::Key{3, 1});
+  tree.insert(path({"_start", "main", "b"}), HierLabel::Key{5, 0});
   roundtrip_test(frames, tree, LabelContext{16});
 }
 
 TEST_F(TreeFixture, DecodedTreePreservesLabels) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main"}), GlobalLabel::for_task(3));
-  tree.insert(path({"_start", "main"}), GlobalLabel::for_task(5));
+  tree.insert(path({"_start", "main"}), 3);
+  tree.insert(path({"_start", "main"}), 5);
   ByteSink sink;
   tree.encode(sink, frames, LabelContext{8});
   auto bytes = sink.take();
@@ -180,8 +180,8 @@ TEST_F(TreeFixture, RemapTreeRelabelsEveryEdge) {
   const TaskMap map = TaskMap::shuffled(layout, 9);
 
   HierTree hier;
-  hier.insert(path({"_start", "main", "x"}), HierLabel::for_local(2, 3));
-  hier.insert(path({"_start", "main", "y"}), HierLabel::for_local(0, 1));
+  hier.insert(path({"_start", "main", "x"}), HierLabel::Key{2, 3});
+  hier.insert(path({"_start", "main", "y"}), HierLabel::Key{0, 1});
 
   const GlobalTree global = remap_tree(hier, map);
   EXPECT_EQ(global.node_count(), hier.node_count());
@@ -217,8 +217,8 @@ TEST_P(RepresentationEquivalence, HierPlusRemapEqualsDense) {
       const std::uint32_t rank = map.global_rank(d, i);
       for (std::uint32_t s = 0; s < 4; ++s) {
         const auto p = app.stack(TaskId(rank), 0, s);
-        dense.insert(p, GlobalLabel::for_task(rank));
-        hier.insert(p, HierLabel::for_local(d, i));
+        dense.insert(p, rank);
+        hier.insert(p, HierLabel::Key{d, i});
       }
     }
   }
@@ -230,10 +230,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RepresentationEquivalence,
 
 TEST_F(TreeFixture, DotOutputContainsNodesAndLabels) {
   GlobalTree tree;
-  GlobalLabel label;
-  label.tasks = TaskSet::range(0, 1021);
-  label.visits = 1022;
-  tree.insert(path({"_start", "main"}), label);
+  for (std::uint32_t t = 0; t < 1022; ++t) tree.insert(path({"_start", "main"}), t);
   const std::string dot = to_dot(tree, frames);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("_start"), std::string::npos);
@@ -245,11 +242,11 @@ TEST_F(TreeFixture, DotOutputContainsNodesAndLabels) {
 
 TEST_F(TreeFixture, ClassesSeparateDivergingTasks) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main", "PMPI_Barrier"}), GlobalLabel::for_task(0));
-  tree.insert(path({"_start", "main", "PMPI_Barrier"}), GlobalLabel::for_task(3));
+  tree.insert(path({"_start", "main", "PMPI_Barrier"}), 0);
+  tree.insert(path({"_start", "main", "PMPI_Barrier"}), 3);
   tree.insert(path({"_start", "main", "do_SendOrStall"}),
-              GlobalLabel::for_task(1));
-  tree.insert(path({"_start", "main", "PMPI_Waitall"}), GlobalLabel::for_task(2));
+              1);
+  tree.insert(path({"_start", "main", "PMPI_Waitall"}), 2);
 
   const auto classes = equivalence_classes(tree);
   ASSERT_EQ(classes.size(), 3u);
@@ -261,8 +258,8 @@ TEST_F(TreeFixture, ClassesSeparateDivergingTasks) {
 TEST_F(TreeFixture, ClassesHandleMidTreeStops) {
   // Task 9's trace ends at "main" while others continue deeper.
   GlobalTree tree;
-  tree.insert(path({"_start", "main", "work"}), GlobalLabel::for_task(0));
-  tree.insert(path({"_start", "main"}), GlobalLabel::for_task(9));
+  tree.insert(path({"_start", "main", "work"}), 0);
+  tree.insert(path({"_start", "main"}), 9);
   const auto classes = equivalence_classes(tree);
   ASSERT_EQ(classes.size(), 2u);
   bool found_mid = false;
@@ -286,7 +283,7 @@ TEST_P(ClassPartitionProperty, ClassesPartitionAllTasks) {
 
   GlobalTree tree;
   for (std::uint32_t t = 0; t < 512; ++t) {
-    tree.insert(app.stack(TaskId(t), 0, 0), GlobalLabel::for_task(t));
+    tree.insert(app.stack(TaskId(t), 0, 0), t);
   }
   const auto classes = equivalence_classes(tree);
   TaskSet all;
@@ -309,9 +306,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClassPartitionProperty,
 
 TEST_F(TreeFixture, RepresentativesPickLowestRanks) {
   GlobalTree tree;
-  tree.insert(path({"_start", "a"}), GlobalLabel::for_task(7));
-  tree.insert(path({"_start", "a"}), GlobalLabel::for_task(3));
-  tree.insert(path({"_start", "b"}), GlobalLabel::for_task(1));
+  tree.insert(path({"_start", "a"}), 7);
+  tree.insert(path({"_start", "a"}), 3);
+  tree.insert(path({"_start", "b"}), 1);
   const auto classes = equivalence_classes(tree);
   const auto reps = representatives(classes, 1);
   ASSERT_EQ(reps.size(), 2u);
@@ -323,7 +320,7 @@ TEST_F(TreeFixture, RepresentativesPickLowestRanks) {
 
 TEST_F(TreeFixture, DescribeRendersPathAndCount) {
   GlobalTree tree;
-  tree.insert(path({"_start", "main"}), GlobalLabel::for_task(1));
+  tree.insert(path({"_start", "main"}), 1);
   const auto classes = equivalence_classes(tree);
   const std::string text = describe(classes[0], frames);
   EXPECT_NE(text.find("1 task(s)"), std::string::npos);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "app/appmodel.hpp"
+#include "common/rng.hpp"
 #include "common/serializer.hpp"
 #include "stat/hier_taskset.hpp"
 #include "stat/prefix_tree.hpp"
@@ -131,27 +132,70 @@ TEST(HierWire, MergeThenRoundTrip) {
   EXPECT_EQ(decoded.value(), a);
 }
 
+// --- Arithmetic sizes vs the encoders ----------------------------------------
+
+// ranged_body_bytes() and body_wire_bytes() count varints instead of
+// encoding; they feed virtual time, so they must equal the encoders' output
+// exactly, including varint-length boundaries and UINT32_MAX ends.
+TEST(ArithmeticWireSize, MatchesEncoderForRandomSets) {
+  Rng rng(20081115);
+  const auto random_value = [&rng]() -> std::uint32_t {
+    switch (rng.next_below(4)) {
+      case 0: return static_cast<std::uint32_t>(rng.next_below(300));
+      case 1: return UINT32_MAX - static_cast<std::uint32_t>(rng.next_below(300));
+      case 2: {  // near a varint length boundary (2^7k)
+        const std::uint32_t edge = 1u << (7 * (1 + rng.next_below(4)));
+        return edge - 2 + static_cast<std::uint32_t>(rng.next_below(4));
+      }
+      default: return static_cast<std::uint32_t>(rng.next_u64());
+    }
+  };
+  for (int round = 0; round < 400; ++round) {
+    TaskSet set;
+    HierTaskSet hier;
+    const auto n = rng.next_below(12);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint32_t lo = random_value();
+      const std::uint32_t hi =
+          lo + std::min<std::uint32_t>(UINT32_MAX - lo, random_value() % 1000);
+      set.insert_range(lo, hi);
+      hier.insert(random_value(), lo);
+      hier.insert(random_value(), hi);
+    }
+    ByteSink ranged;
+    set.encode_ranged_body(ranged);
+    EXPECT_EQ(set.ranged_body_bytes(), ranged.size());
+    ByteSink body;
+    hier.encode_body(body);
+    EXPECT_EQ(hier.body_wire_bytes(), body.size());
+  }
+  TaskSet top = TaskSet::range(0, UINT32_MAX);
+  ByteSink sink;
+  top.encode_ranged_body(sink);
+  EXPECT_EQ(top.ranged_body_bytes(), sink.size());
+}
+
 // --- PrefixTree: both label representations ---------------------------------
 
 /// Small three-branch tree over an interned frame table.
-template <typename Label, typename SeedFn>
-PrefixTree<Label> sample_tree(app::FrameTable& frames, SeedFn seed_for) {
+template <typename Label, typename KeyFn>
+PrefixTree<Label> sample_tree(app::FrameTable& frames, KeyFn key_for) {
   PrefixTree<Label> tree;
   const app::CallPath barrier =
       frames.make_path({"_start", "main", "MPI_Barrier", "poll"});
   const app::CallPath recv =
       frames.make_path({"_start", "main", "MPI_Recv", "poll"});
   const app::CallPath compute = frames.make_path({"_start", "main", "compute"});
-  for (std::uint32_t t = 0; t < 60; ++t) tree.insert(barrier, seed_for(t));
-  tree.insert(recv, seed_for(60));
-  for (std::uint32_t t = 61; t < 64; ++t) tree.insert(compute, seed_for(t));
+  for (std::uint32_t t = 0; t < 60; ++t) tree.insert(barrier, key_for(t));
+  tree.insert(recv, key_for(60));
+  for (std::uint32_t t = 61; t < 64; ++t) tree.insert(compute, key_for(t));
   return tree;
 }
 
 TEST(TreeWire, GlobalTreeRoundTripAndExactSize) {
   app::FrameTable frames;
   GlobalTree tree = sample_tree<GlobalLabel>(
-      frames, [](std::uint32_t t) { return GlobalLabel::for_task(t); });
+      frames, [](std::uint32_t t) { return t; });
   const LabelContext ctx{64};
 
   ByteSink sink;
@@ -170,7 +214,7 @@ TEST(TreeWire, GlobalTreeRoundTripAndExactSize) {
 TEST(TreeWire, HierTreeRoundTripAndExactSize) {
   app::FrameTable frames;
   HierTree tree = sample_tree<HierLabel>(frames, [](std::uint32_t t) {
-    return HierLabel::for_local(t / 8, t % 8);
+    return HierLabel::Key{t / 8, t % 8};
   });
   const LabelContext ctx{64};
 
@@ -188,7 +232,7 @@ TEST(TreeWire, HierTreeRoundTripAndExactSize) {
 TEST(TreeWire, FreshTableDecodePreservesStructureByName) {
   app::FrameTable frames;
   GlobalTree tree = sample_tree<GlobalLabel>(
-      frames, [](std::uint32_t t) { return GlobalLabel::for_task(t); });
+      frames, [](std::uint32_t t) { return t; });
   const LabelContext ctx{64};
   ByteSink sink;
   tree.encode(sink, frames, ctx);
@@ -227,7 +271,7 @@ TEST(TreeWire, EmptyTreeRoundTrips) {
 TEST(TreeWire, ReEncodeIsByteIdentical) {
   app::FrameTable frames;
   GlobalTree tree = sample_tree<GlobalLabel>(
-      frames, [](std::uint32_t t) { return GlobalLabel::for_task(t); });
+      frames, [](std::uint32_t t) { return t; });
   const LabelContext ctx{64};
 
   ByteSink first;
