@@ -77,14 +77,25 @@ stat::StatPayload<Label> synthesize_payload(const app::AppModel& app,
   return payload;
 }
 
+/// The probe's two profiles: the batched 2D+3D payload over every sample,
+/// and the single-sample snapshot a streaming round moves. A stream
+/// snapshot *is* the payload's 2D tree — both hold sample 0, added through
+/// stat::add_trace — so one pass measures both.
+struct ProbedWorkload {
+  WorkloadProfile batch;
+  WorkloadProfile stream;
+};
+
 template <typename Label>
 void profile_with_label(const app::AppModel& app,
                         const machine::DaemonLayout& layout,
                         const stat::TaskMap& task_map,
                         const stat::StatOptions& options,
-                        WorkloadProfile& profile) {
+                        ProbedWorkload& probed) {
   const stat::LabelContext ctx{layout.num_tasks};
   const app::FrameTable& frames = app.frames();
+  WorkloadProfile& batch = probed.batch;
+  WorkloadProfile& stream = probed.stream;
 
   // Probe the first 1, 2, 4, 8 daemons (capped at the job size): enough to
   // see whether payloads grow with the subtree (hier) or saturate (dense).
@@ -100,6 +111,8 @@ void profile_with_label(const app::AppModel& app,
   std::uint64_t traces = 0;
   double leaf_bytes_sum = 0.0;
   double leaf_nodes_sum = 0.0;
+  double snapshot_bytes_sum = 0.0;
+  double snapshot_nodes_sum = 0.0;
   stat::StatPayload<Label> merged;
   std::uint32_t merged_daemons = 0;
   for (const std::uint32_t k : ks) {
@@ -110,95 +123,44 @@ void profile_with_label(const app::AppModel& app,
           static_cast<double>(payload_wire_bytes(leaf, frames, ctx));
       leaf_nodes_sum += static_cast<double>(leaf.tree_2d.node_count() +
                                             leaf.tree_3d.node_count());
+      snapshot_bytes_sum += static_cast<double>(
+          stat::snapshot_wire_bytes(leaf.tree_2d, frames, ctx));
+      snapshot_nodes_sum += static_cast<double>(leaf.tree_2d.node_count());
       merged.tree_2d.merge(leaf.tree_2d);
       merged.tree_3d.merge(leaf.tree_3d);
     }
     merged_daemons = k;
-    profile.probe_counts.push_back(k);
-    profile.merged_payload_bytes.push_back(
+    batch.probe_counts.push_back(k);
+    batch.merged_payload_bytes.push_back(
         static_cast<double>(payload_wire_bytes(merged, frames, ctx)));
-    profile.merged_tree_nodes.push_back(static_cast<double>(
+    batch.merged_tree_nodes.push_back(static_cast<double>(
         merged.tree_2d.node_count() + merged.tree_3d.node_count()));
+    stream.probe_counts.push_back(k);
+    stream.merged_payload_bytes.push_back(static_cast<double>(
+        stat::snapshot_wire_bytes(merged.tree_2d, frames, ctx)));
+    stream.merged_tree_nodes.push_back(
+        static_cast<double>(merged.tree_2d.node_count()));
   }
 
-  profile.avg_frames_per_trace =
+  batch.avg_frames_per_trace =
       traces > 0 ? frames_sum / static_cast<double>(traces) : 0.0;
-  profile.traces_per_daemon =
+  batch.traces_per_daemon =
       traces / std::max<std::uint64_t>(1, merged_daemons);
-  profile.leaf_payload_bytes = leaf_bytes_sum / merged_daemons;
-  profile.leaf_tree_nodes = leaf_nodes_sum / merged_daemons;
-}
-
-/// Synthesizes one daemon's single-sample streaming snapshot exactly as the
-/// scenario's streaming sink would (stat::StreamSnapshot: one tree, traces
-/// added through stat::add_trace).
-template <typename Label>
-stat::StreamSnapshot<Label> synthesize_snapshot(
-    const app::AppModel& app, const machine::DaemonLayout& layout,
-    const stat::TaskMap& task_map, std::uint32_t daemon) {
-  stat::StreamSnapshot<Label> snapshot;
-  const std::uint32_t count = layout.tasks_of(DaemonId(daemon));
-  const std::uint32_t threads = app.threads_per_task();
-  for (std::uint32_t t = 0; t < count; ++t) {
-    const TaskId task = TaskId(task_map.global_rank(daemon, t));
-    for (std::uint32_t th = 0; th < threads; ++th) {
-      const app::CallPath path = app.stack(task, th, /*sample=*/0);
-      stat::add_trace(snapshot.tree, path, daemon, t, task);
-    }
-  }
-  return snapshot;
-}
-
-template <typename Label>
-void stream_profile_with_label(const app::AppModel& app,
-                               const machine::DaemonLayout& layout,
-                               const stat::TaskMap& task_map,
-                               WorkloadProfile& profile) {
-  const stat::LabelContext ctx{layout.num_tasks};
-  const app::FrameTable& frames = app.frames();
-
-  std::vector<std::uint32_t> ks;
-  for (std::uint32_t k = 1; k <= layout.num_daemons && k <= 8; k *= 2) {
-    ks.push_back(k);
-  }
-  if (ks.back() < layout.num_daemons && ks.back() < 8) {
-    ks.push_back(layout.num_daemons);
-  }
-
-  double leaf_bytes_sum = 0.0;
-  double leaf_nodes_sum = 0.0;
-  stat::StreamSnapshot<Label> merged;
-  std::uint32_t merged_daemons = 0;
-  for (const std::uint32_t k : ks) {
-    for (std::uint32_t d = merged_daemons; d < k; ++d) {
-      stat::StreamSnapshot<Label> leaf =
-          synthesize_snapshot<Label>(app, layout, task_map, d);
-      leaf_bytes_sum +=
-          static_cast<double>(stat::snapshot_wire_bytes(leaf, frames, ctx));
-      leaf_nodes_sum += static_cast<double>(leaf.tree.node_count());
-      merged.tree.merge(leaf.tree);
-    }
-    merged_daemons = k;
-    profile.probe_counts.push_back(k);
-    profile.merged_payload_bytes.push_back(
-        static_cast<double>(stat::snapshot_wire_bytes(merged, frames, ctx)));
-    profile.merged_tree_nodes.push_back(
-        static_cast<double>(merged.tree.node_count()));
-  }
-  profile.leaf_payload_bytes = leaf_bytes_sum / merged_daemons;
-  profile.leaf_tree_nodes = leaf_nodes_sum / merged_daemons;
+  batch.leaf_payload_bytes = leaf_bytes_sum / merged_daemons;
+  batch.leaf_tree_nodes = leaf_nodes_sum / merged_daemons;
+  stream.leaf_payload_bytes = snapshot_bytes_sum / merged_daemons;
+  stream.leaf_tree_nodes = snapshot_nodes_sum / merged_daemons;
 }
 
 // --- Probe memoization -----------------------------------------------------
-// One process-wide cache for both probe kinds (batched payloads and streaming
-// snapshots), keyed on every input that determines the synthesized traces.
-// Deliberately global (see the profile_workload contract in the header): the
-// probes are pure functions of the key, so caching them never couples
-// co-resident sessions.
+// One process-wide cache, keyed on every input that determines the
+// synthesized traces. Deliberately global (see the profile_workload contract
+// in the header): the probes are pure functions of the key, so caching them
+// never couples co-resident sessions.
 
 struct ProfileCache {
   std::mutex mu;
-  std::unordered_map<std::string, WorkloadProfile> entries;
+  std::unordered_map<std::string, ProbedWorkload> entries;
   ProfileCacheCounters counters;
 };
 
@@ -213,13 +175,10 @@ ProfileCache& profile_cache() {
 /// capacity fields are deliberately absent — the service scheduler prices
 /// sessions against contended "effective machines" that differ only in those,
 /// and the probes are identical across them.
-std::string profile_cache_key(const char* kind,
-                              const machine::MachineConfig& machine,
+std::string profile_cache_key(const machine::MachineConfig& machine,
                               const machine::JobConfig& job,
                               const stat::StatOptions& options) {
-  std::string key(kind);
-  key += '|';
-  key += machine.name;
+  std::string key = machine.name;
   const auto add = [&key](std::uint64_t v) {
     key += '|';
     key += std::to_string(v);
@@ -245,13 +204,13 @@ std::string profile_cache_key(const char* kind,
   return key;
 }
 
-template <typename Measure>
-WorkloadProfile cached_profile(const char* kind,
-                               const machine::MachineConfig& machine,
-                               const machine::JobConfig& job,
-                               const stat::StatOptions& options,
-                               Measure measure) {
-  const std::string key = profile_cache_key(kind, machine, job, options);
+/// Synthesizes the probe daemons' traces once per key and measures both
+/// profiles from them.
+ProbedWorkload probe_workload(const machine::MachineConfig& machine,
+                              const machine::JobConfig& job,
+                              const machine::DaemonLayout& layout,
+                              const stat::StatOptions& options) {
+  const std::string key = profile_cache_key(machine, job, options);
   ProfileCache& cache = profile_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
@@ -263,36 +222,28 @@ WorkloadProfile cached_profile(const char* kind,
   }
   // Synthesize outside the lock: probes are deterministic, so a racing miss
   // on the same key just computes the same value twice.
-  WorkloadProfile profile = measure();
+  ProbedWorkload probed;
+  const auto app = stat::make_app_model(machine, job, options);
+  const stat::TaskMap task_map =
+      options.shuffle_task_map ? stat::TaskMap::shuffled(layout, options.seed)
+                               : stat::TaskMap::identity(layout);
+  if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
+    profile_with_label<stat::GlobalLabel>(*app, layout, task_map, options,
+                                          probed);
+  } else {
+    profile_with_label<stat::HierLabel>(*app, layout, task_map, options,
+                                        probed);
+  }
+  for (const auto& image : app->binaries().images) {
+    probed.batch.symbol_image_bytes += image.bytes;
+    if (image.path.rfind("/nfs", 0) == 0) {
+      probed.batch.shared_fs_image_bytes += image.bytes;
+    }
+  }
   std::lock_guard<std::mutex> lock(cache.mu);
   ++cache.counters.misses;
-  cache.entries.emplace(key, profile);
-  return profile;
-}
-
-/// Measures the single-sample snapshot sizes the streaming delta rounds
-/// move — the --stream counterpart of profile_workload (which measures the
-/// batched 2D+3D payload across all samples). Memoized like it, too.
-WorkloadProfile profile_stream_workload(const machine::MachineConfig& machine,
-                                        const machine::JobConfig& job,
-                                        const machine::DaemonLayout& layout,
-                                        const stat::StatOptions& options) {
-  return cached_profile("stream", machine, job, options, [&]() {
-    WorkloadProfile profile;
-    const auto app = stat::make_app_model(machine, job, options);
-    const stat::TaskMap task_map =
-        options.shuffle_task_map
-            ? stat::TaskMap::shuffled(layout, options.seed)
-            : stat::TaskMap::identity(layout);
-    if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
-      stream_profile_with_label<stat::GlobalLabel>(*app, layout, task_map,
-                                                   profile);
-    } else {
-      stream_profile_with_label<stat::HierLabel>(*app, layout, task_map,
-                                                 profile);
-    }
-    return profile;
-  });
+  cache.entries.emplace(key, probed);
+  return probed;
 }
 
 }  // namespace
@@ -301,28 +252,7 @@ WorkloadProfile profile_workload(const machine::MachineConfig& machine,
                                  const machine::JobConfig& job,
                                  const machine::DaemonLayout& layout,
                                  const stat::StatOptions& options) {
-  return cached_profile("batched", machine, job, options, [&]() {
-    WorkloadProfile profile;
-    const auto app = stat::make_app_model(machine, job, options);
-    const stat::TaskMap task_map =
-        options.shuffle_task_map
-            ? stat::TaskMap::shuffled(layout, options.seed)
-            : stat::TaskMap::identity(layout);
-    if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
-      profile_with_label<stat::GlobalLabel>(*app, layout, task_map, options,
-                                            profile);
-    } else {
-      profile_with_label<stat::HierLabel>(*app, layout, task_map, options,
-                                          profile);
-    }
-    for (const auto& image : app->binaries().images) {
-      profile.symbol_image_bytes += image.bytes;
-      if (image.path.rfind("/nfs", 0) == 0) {
-        profile.shared_fs_image_bytes += image.bytes;
-      }
-    }
-    return profile;
-  });
+  return probe_workload(machine, job, layout, options).batch;
 }
 
 ProfileCacheCounters profile_cache_counters() {
@@ -338,6 +268,103 @@ void reset_profile_cache() {
   cache.counters = ProfileCacheCounters{};
 }
 
+namespace {
+
+/// A profile's payload size and node count for every proc's subtree
+/// accumulator: a leaf's own payload, an internal proc's merged curve over
+/// the daemons under it.
+class SubtreeSizes {
+ public:
+  SubtreeSizes(const WorkloadProfile& profile, const tbon::TbonTopology& topo)
+      : profile_(profile), topo_(topo), daemons_under_(topo.procs.size(), 0.0) {
+    // Children always index after their parents.
+    for (std::size_t i = topo.procs.size(); i-- > 0;) {
+      const auto& proc = topo.procs[i];
+      if (proc.is_leaf()) {
+        daemons_under_[i] = 1.0;
+      } else {
+        for (const std::uint32_t c : proc.children) {
+          daemons_under_[i] += daemons_under_[c];
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] double bytes(std::size_t i) const {
+    return topo_.procs[i].is_leaf()
+               ? profile_.leaf_payload_bytes
+               : profile_.payload_bytes_for(daemons_under_[i]);
+  }
+  [[nodiscard]] double nodes(std::size_t i) const {
+    return topo_.procs[i].is_leaf()
+               ? profile_.leaf_tree_nodes
+               : profile_.tree_nodes_for(daemons_under_[i]);
+  }
+
+ private:
+  const WorkloadProfile& profile_;
+  const tbon::TbonTopology& topo_;
+  std::vector<double> daemons_under_;
+};
+
+/// Level-by-level critical path of one upward round, in seconds. Within one
+/// level, each parent's single core unpacks/merges its children serially,
+/// and every link device a child's route crosses drains its serialization
+/// serially (the Network's congestion mechanism — host access links subsume
+/// per-NIC queueing, shared trunks add the wiring contention: two children
+/// behind one oversubscribed uplink queue on it even when their parents
+/// differ). Leaves start in parallel after `leaf_s`, then each level gates
+/// the next, its network side bounded by the single most-contended link
+/// device. The charges are the caller's: `edge(parent, child, cpu_s)` adds
+/// the parent's CPU for the child's arrival to `cpu_s` and returns the bytes
+/// the child sends; `forward(proc, cpu_s)` adds what the proc spends
+/// forwarding its own result.
+template <typename Edge, typename Forward>
+double critical_path_seconds(const net::SwitchGraph& graph,
+                             const tbon::TbonTopology& topo, double leaf_s,
+                             Edge&& edge, Forward&& forward) {
+  struct LevelCost {
+    double worst_cpu_s = 0.0;
+    double worst_latency_s = 0.0;
+    std::unordered_map<std::uint64_t, double> device_s;  // per link device
+  };
+  std::vector<LevelCost> levels(topo.depth);
+  const double msg_overhead_s = to_seconds(graph.per_message_overhead());
+  for (std::size_t i = 0; i < topo.procs.size(); ++i) {
+    const auto& parent = topo.procs[i];
+    if (parent.children.empty()) continue;
+    LevelCost& level = levels[parent.level];
+    double cpu_s = 0.0;
+    for (const std::uint32_t c : parent.children) {
+      const double bytes = edge(i, c, cpu_s);
+      const net::Route route =
+          net::route_between(graph, topo.procs[c].host, parent.host);
+      const double ser_s = bytes / net::bottleneck_rate(route);
+      for (const net::RouteHop& hop : route) {
+        level.device_s[hop.device] += ser_s;
+      }
+      level.worst_latency_s =
+          std::max(level.worst_latency_s,
+                   to_seconds(net::route_latency(route)) + msg_overhead_s);
+    }
+    forward(i, cpu_s);
+    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
+  }
+
+  double merge_s = leaf_s;
+  for (std::size_t l = levels.size(); l-- > 0;) {
+    const LevelCost& level = levels[l];
+    double worst_link_s = 0.0;
+    for (const auto& [device, s] : level.device_s) {
+      worst_link_s = std::max(worst_link_s, s);
+    }
+    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
+  }
+  return merge_s;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // PhasePredictor
 
@@ -351,14 +378,15 @@ PhasePredictor::PhasePredictor(machine::MachineConfig machine,
       options_(std::move(options)),
       costs_(costs),
       layout_(layout),
-      graph_(net::build_switch_graph(machine_)),
-      profile_(profile_workload(machine_, job_, layout_, options_)),
-      stream_profile_(
-          profile_stream_workload(machine_, job_, layout_, options_)) {
-  // Fold the per-run connection override into the config (mirrors
-  // StatScenario): the reducer-tree fan-in clamp in tbon::derive_levels and
-  // every viability check must see the same limit, or the planner would
-  // price trees the run then builds differently.
+      graph_(net::build_switch_graph(machine_)) {
+  ProbedWorkload probed = probe_workload(machine_, job_, layout_, options_);
+  profile_ = std::move(probed.batch);
+  stream_profile_ = std::move(probed.stream);
+  // Fold the per-run connection override into the config, as resolve_spec
+  // does for the run (a direct API caller may pass an unfolded machine):
+  // the reducer-tree fan-in clamp in tbon::derive_levels and every
+  // viability check must see the same limit, or the planner would price
+  // trees the run then builds differently.
   if (options_.max_frontend_connections) {
     machine_.max_tool_connections = *options_.max_frontend_connections;
   }
@@ -475,125 +503,51 @@ Result<PhasePrediction> PhasePredictor::predict(
   p.sampling = predict_sampling();
 
   // --- Merge ---------------------------------------------------------------
-  // Connection-limit viability (the Sec. V-A failures the paper observed):
-  // the exact check — and the exact limit, per-run override included — the
-  // simulator runs, so the two can never disagree.
+  // Connection-limit and receive-buffer viability (the Sec. V-A failures
+  // the paper observed): the exact checks — and the exact limit, per-run
+  // override folded in — the simulator runs, so the two can never disagree.
   if (p.viability.is_ok()) {
-    p.viability = tbon::connection_viability(
-        topo, options_.max_frontend_connections.value_or(
-                  machine_.max_tool_connections));
+    p.viability =
+        tbon::connection_viability(topo, machine_.max_tool_connections);
+  }
+  if (p.viability.is_ok()) {
+    const auto leaf_bytes =
+        static_cast<std::uint64_t>(profile_.leaf_payload_bytes);
+    p.viability = tbon::receive_buffer_viability(
+        topo, [leaf_bytes](std::uint32_t) { return leaf_bytes; },
+        costs_.merge);
   }
 
-  // Subtree daemon coverage per proc (children always index after parents).
-  const std::size_t n = topo.procs.size();
-  std::vector<double> daemons_under(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    const auto& proc = topo.procs[i];
-    if (proc.is_leaf()) {
-      daemons_under[i] = 1.0;
+  const SubtreeSizes sizes(profile_, topo);
+  const auto edge = [&](std::size_t i, std::uint32_t c, double& cpu_s) {
+    const double child_bytes = sizes.bytes(c);
+    const auto wire = static_cast<std::uint64_t>(child_bytes);
+    const auto nodes = static_cast<std::uint64_t>(sizes.nodes(c));
+    if (topo.sharded() && i == 0) {
+      // Final combine at the true front end. shard_combine_cost is the
+      // codec+merge charge of the branch below by construction — the
+      // combine is cheap because only K shard payloads arrive here, not
+      // because an arrival costs less; the named formula just keeps the
+      // sharded pricing anchored in machine/cost_model.
+      cpu_s +=
+          to_seconds(machine::shard_combine_cost(costs_.merge, nodes, wire));
     } else {
-      for (const std::uint32_t c : proc.children) {
-        daemons_under[i] += daemons_under[c];
-      }
+      cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
+      cpu_s +=
+          to_seconds(machine::filter_merge_cost(costs_.merge, nodes, wire));
     }
-  }
-
-  const auto bytes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf() ? profile_.leaf_payload_bytes
-                                   : profile_.payload_bytes_for(daemons_under[i]);
+    return child_bytes;
   };
-  const auto nodes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf() ? profile_.leaf_tree_nodes
-                                   : profile_.tree_nodes_for(daemons_under[i]);
-  };
-
-  // Receive-buffer viability at every merge root: the front end, and each
-  // reducer of a sharded front end (mirrors the scenario's check).
-  std::vector<std::uint32_t> merge_roots{0};
-  merge_roots.insert(merge_roots.end(), topo.reducers.begin(),
-                     topo.reducers.end());
-  for (const std::uint32_t root : merge_roots) {
-    std::uint64_t leaf_incoming = 0;
-    for (const std::uint32_t child : topo.procs[root].children) {
-      if (topo.procs[child].is_leaf()) {
-        leaf_incoming += static_cast<std::uint64_t>(bytes_of(child));
-      }
-    }
-    if (p.viability.is_ok() &&
-        leaf_incoming > costs_.merge.frontend_rx_buffer_bytes) {
-      p.viability = resource_exhausted(
-          std::string(root == 0 ? "front-end" : "reducer") +
-          " receive buffers overflow: " + std::to_string(leaf_incoming) +
-          " bytes inbound");
-    }
-  }
-
-  // Level-by-level critical path of the reduction: within one level, each
-  // parent's single core unpacks/merges its children serially, and every
-  // link device a child's route crosses drains its serialization serially
-  // (the Network's congestion mechanism — host access links subsume the old
-  // per-NIC queueing, shared trunks add the wiring contention: two children
-  // behind one oversubscribed uplink queue on it even when their parents
-  // differ). Levels complete bottom-up.
-  struct LevelCost {
-    double worst_cpu_s = 0.0;
-    double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
-  };
-  std::vector<LevelCost> levels(topo.depth);
-  const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& parent = topo.procs[i];
-    if (parent.children.empty()) continue;
-    LevelCost& level = levels[parent.level];
-    double cpu_s = 0.0;
-    for (const std::uint32_t c : parent.children) {
-      const double child_bytes = bytes_of(c);
-      const auto wire = static_cast<std::uint64_t>(child_bytes);
-      if (topo.sharded() && i == 0) {
-        // Final combine at the true front end. shard_combine_cost is the
-        // codec+merge charge of the branch below by construction — the
-        // combine is cheap because only K shard payloads arrive here, not
-        // because an arrival costs less; the named formula just keeps the
-        // sharded pricing anchored in machine/cost_model.
-        cpu_s += to_seconds(machine::shard_combine_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), wire));
-      } else {
-        cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
-        cpu_s += to_seconds(machine::filter_merge_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), wire));
-      }
-      const net::Route route =
-          net::route_between(graph_, topo.procs[c].host, parent.host);
-      const double ser_s = child_bytes / net::bottleneck_rate(route);
-      for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
-      }
-      level.worst_latency_s =
-          std::max(level.worst_latency_s,
-                   to_seconds(net::route_latency(route)) + msg_overhead_s);
-    }
-    if (parent.parent >= 0) {
-      // Internal procs pack their accumulator before forwarding it.
+  // Internal procs pack their accumulator before forwarding it.
+  const auto forward = [&](std::size_t i, double& cpu_s) {
+    if (topo.procs[i].parent >= 0) {
       cpu_s += to_seconds(machine::packet_codec_cost(
-          costs_.merge, static_cast<std::uint64_t>(bytes_of(i))));
+          costs_.merge, static_cast<std::uint64_t>(sizes.bytes(i))));
     }
-    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
-  }
-
-  // Leaves pack in parallel, then each level gates the next, its network
-  // side bounded by the single most-contended link device.
-  double merge_s = to_seconds(machine::packet_codec_cost(
+  };
+  const double leaf_s = to_seconds(machine::packet_codec_cost(
       costs_.merge, static_cast<std::uint64_t>(profile_.leaf_payload_bytes)));
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const LevelCost& level = levels[l];
-    double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
-    }
-    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
-  }
-  p.merge = seconds(merge_s);
+  p.merge = seconds(critical_path_seconds(graph_, topo, leaf_s, edge, forward));
 
   if (options_.repr == stat::TaskSetRepr::kHierarchical) {
     if (topo.sharded()) {
@@ -612,29 +566,14 @@ PhasePredictor::predict_merge_link_bytes(const tbon::TopologySpec& spec) const {
   if (!topo_result.is_ok()) return topo_result.status();
   const tbon::TbonTopology& topo = topo_result.value();
 
-  const std::size_t n = topo.procs.size();
-  std::vector<double> daemons_under(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    const auto& proc = topo.procs[i];
-    if (proc.is_leaf()) {
-      daemons_under[i] = 1.0;
-    } else {
-      for (const std::uint32_t c : proc.children) {
-        daemons_under[i] += daemons_under[c];
-      }
-    }
-  }
-
   // One upward transfer per tree edge — exactly the merge phase's traffic —
   // charged to every device along the child->parent route, the same walk
   // Network::transfer reserves.
+  const SubtreeSizes sizes(profile_, topo);
   std::unordered_map<std::uint64_t, LinkBytesPrediction> priced;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& parent = topo.procs[i];
+  for (const auto& parent : topo.procs) {
     for (const std::uint32_t c : parent.children) {
-      const double child_bytes =
-          topo.procs[c].is_leaf() ? profile_.leaf_payload_bytes
-                                  : profile_.payload_bytes_for(daemons_under[c]);
+      const double child_bytes = sizes.bytes(c);
       for (const net::RouteHop& hop :
            net::route_between(graph_, topo.procs[c].host, parent.host)) {
         LinkBytesPrediction& entry = priced[hop.device];
@@ -747,37 +686,19 @@ Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
         " daemons, job has " + std::to_string(layout_.num_daemons));
   }
 
-  // Subtree coverage and dirtiness, bottom-up (children index after
-  // parents). A proc is dirty — it re-merges and forwards its subtree
-  // snapshot — exactly when some daemon under it changed.
+  // Dirtiness, bottom-up (children index after parents): a proc is dirty —
+  // it re-merges and forwards its subtree snapshot — exactly when some
+  // daemon under it changed.
   const std::size_t n = topo.procs.size();
-  std::vector<double> daemons_under(n, 0.0);
   std::vector<bool> dirty(n, false);
   for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
     if (changed[d]) dirty[topo.leaf_of_daemon[d]] = true;
   }
   for (std::size_t i = n; i-- > 0;) {
-    const auto& proc = topo.procs[i];
-    if (proc.is_leaf()) {
-      daemons_under[i] = 1.0;
-      continue;
-    }
-    for (const std::uint32_t c : proc.children) {
-      daemons_under[i] += daemons_under[c];
+    for (const std::uint32_t c : topo.procs[i].children) {
       if (dirty[c]) dirty[i] = true;
     }
   }
-
-  const auto bytes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf()
-               ? stream_profile_.leaf_payload_bytes
-               : stream_profile_.payload_bytes_for(daemons_under[i]);
-  };
-  const auto nodes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf()
-               ? stream_profile_.leaf_tree_nodes
-               : stream_profile_.tree_nodes_for(daemons_under[i]);
-  };
 
   StreamSamplePrediction p;
   for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
@@ -792,107 +713,63 @@ Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
     }
   }
 
-  // Same level-by-level critical path as predict(), with every charge taken
-  // from the streaming round's formulas: a changed child costs its delta's
-  // codec + filter merge, an acknowledging child costs the ack codec (plus a
-  // cached re-merge when the parent is dirty), and a proc forwards either
-  // its packed subtree delta or a bare ack.
-  struct LevelCost {
-    double worst_cpu_s = 0.0;
-    double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
-  };
-  std::vector<LevelCost> levels(topo.depth);
-  const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
+  // predict()'s critical path, with every charge taken from the streaming
+  // round's formulas: a changed child costs its delta's codec + filter
+  // merge, an acknowledging child costs the ack codec (plus a cached
+  // re-merge when the parent is dirty), and a proc forwards either its
+  // packed subtree delta or a bare ack.
+  const SubtreeSizes sizes(stream_profile_, topo);
   const double ack_codec_s =
       to_seconds(machine::control_packet_cost(costs_.stream));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& parent = topo.procs[i];
-    if (parent.children.empty()) continue;
-    LevelCost& level = levels[parent.level];
-    double cpu_s = 0.0;
-    for (const std::uint32_t c : parent.children) {
-      const double snap_bytes = bytes_of(c);
-      const auto snap_wire = static_cast<std::uint64_t>(snap_bytes);
-      const std::uint64_t wire = dirty[c] ? tbon::delta_wire_bytes(snap_wire)
-                                          : tbon::kDeltaAckBytes;
-      if (dirty[c]) {
-        cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
-        cpu_s += to_seconds(machine::filter_merge_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), snap_wire));
-      } else if (dirty[i]) {
-        // A dirty parent handles the cheap acks while still waiting on its
-        // changed children's payloads — off the critical path — and folds
-        // the cached copies once all children are accounted for.
-        cpu_s += to_seconds(machine::cached_merge_cost(
-            costs_.merge, costs_.stream,
-            static_cast<std::uint64_t>(nodes_of(c)), snap_wire));
-      } else {
-        cpu_s += ack_codec_s;
-      }
-      p.delta_bytes += wire;
-      const net::Route route =
-          net::route_between(graph_, topo.procs[c].host, parent.host);
-      const double ser_s =
-          static_cast<double>(wire) / net::bottleneck_rate(route);
-      for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
-      }
-      level.worst_latency_s =
-          std::max(level.worst_latency_s,
-                   to_seconds(net::route_latency(route)) + msg_overhead_s);
+  const auto edge = [&](std::size_t i, std::uint32_t c, double& cpu_s) {
+    const auto snap_wire = static_cast<std::uint64_t>(sizes.bytes(c));
+    const auto nodes = static_cast<std::uint64_t>(sizes.nodes(c));
+    const std::uint64_t wire =
+        dirty[c] ? tbon::delta_wire_bytes(snap_wire) : tbon::kDeltaAckBytes;
+    if (dirty[c]) {
+      cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
+      cpu_s += to_seconds(
+          machine::filter_merge_cost(costs_.merge, nodes, snap_wire));
+    } else if (dirty[i]) {
+      // A dirty parent handles the cheap acks while still waiting on its
+      // changed children's payloads — off the critical path — and folds
+      // the cached copies once all children are accounted for.
+      cpu_s += to_seconds(machine::cached_merge_cost(
+          costs_.merge, costs_.stream, nodes, snap_wire));
+    } else {
+      cpu_s += ack_codec_s;
     }
-    if (parent.parent >= 0) {
-      cpu_s += dirty[i]
-                   ? to_seconds(machine::packet_codec_cost(
-                         costs_.merge,
-                         tbon::delta_wire_bytes(
-                             static_cast<std::uint64_t>(bytes_of(i)))))
-                   : ack_codec_s;
+    p.delta_bytes += wire;
+    return static_cast<double>(wire);
+  };
+  const auto forward = [&](std::size_t i, double& cpu_s) {
+    const auto own = static_cast<std::uint64_t>(sizes.bytes(i));
+    if (topo.procs[i].parent >= 0) {
+      cpu_s += dirty[i] ? to_seconds(machine::packet_codec_cost(
+                              costs_.merge, tbon::delta_wire_bytes(own)))
+                        : ack_codec_s;
     } else if (dirty[i]) {
       // The front end packs its re-merged accumulator; a clean round is
       // answered from the cache for free.
-      cpu_s += to_seconds(machine::packet_codec_cost(
-          costs_.merge, static_cast<std::uint64_t>(bytes_of(i))));
+      cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, own));
     }
-    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
-  }
+  };
 
   // Every leaf hashes its snapshot before sending; the slowest leaf is a
   // changed one (its delta pack dwarfs an ack's) whenever any changed.
   const double sig_s = to_seconds(machine::signature_cost(
       costs_.stream,
       static_cast<std::uint64_t>(stream_profile_.leaf_tree_nodes)));
-  double merge_s = sig_s;
-  if (p.changed_daemons > 0) {
-    merge_s += to_seconds(machine::packet_codec_cost(
-        costs_.merge,
-        tbon::delta_wire_bytes(
-            static_cast<std::uint64_t>(stream_profile_.leaf_payload_bytes))));
-  } else {
-    merge_s += ack_codec_s;
-  }
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const LevelCost& level = levels[l];
-    double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
-    }
-    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
-  }
-  p.merge = seconds(merge_s);
+  const double send_s =
+      p.changed_daemons > 0
+          ? to_seconds(machine::packet_codec_cost(
+                costs_.merge,
+                tbon::delta_wire_bytes(static_cast<std::uint64_t>(
+                    stream_profile_.leaf_payload_bytes))))
+          : ack_codec_s;
+  p.merge = seconds(
+      critical_path_seconds(graph_, topo, sig_s + send_s, edge, forward));
   return p;
-}
-
-Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
-    const tbon::TopologySpec& spec, double changed_fraction) const {
-  check(changed_fraction >= 0.0 && changed_fraction <= 1.0,
-        "changed_fraction outside [0, 1]");
-  const auto band = static_cast<std::uint32_t>(
-      std::llround(changed_fraction * layout_.num_daemons));
-  std::vector<bool> changed(layout_.num_daemons, false);
-  for (std::uint32_t d = 0; d < band; ++d) changed[d] = true;
-  return predict_stream_sample(spec, changed);
 }
 
 }  // namespace petastat::plan

@@ -70,9 +70,13 @@ struct WorkloadProfile {
 /// Measures the profile for this scenario configuration by synthesizing the
 /// traces of up to 8 probe daemons through the real tree/label code.
 ///
+/// One probe pass also measures the streaming snapshot profile the
+/// PhasePredictor keeps beside it, from the same payloads' 2D trees.
+///
 /// Memoized process-wide on the trace-determining inputs (machine shape, job
 /// size/mode, app kind, seed, representation, sampling options): every
-/// PhasePredictor::create re-measures the same workload, and the service
+/// PhasePredictor::create re-measures the same workload (one cache lookup
+/// per predictor), and the service
 /// scheduler creates a predictor per admitted session, so identical probes
 /// would otherwise be re-synthesized many times per process. The cache is the
 /// one deliberate exception to the "no process-global mutable state" rule of
@@ -182,13 +186,6 @@ class PhasePredictor {
       const tbon::TopologySpec& spec,
       const std::vector<bool>& daemon_changed) const;
 
-  /// The ISSUE formula's "expected changed-fraction" convenience: prices a
-  /// round where a contiguous band of round(fraction * daemons) daemons
-  /// changed — the drifting-straggler workload's shape, where one band of
-  /// adjacent daemons moves per sample.
-  [[nodiscard]] Result<StreamSamplePrediction> predict_stream_sample(
-      const tbon::TopologySpec& spec, double changed_fraction) const;
-
   /// Per-link merge-phase traffic the predictor prices for `spec`: every
   /// tree edge's payload charged to every link device along its route —
   /// the byte-level half of the shared formulation. The simulated merge
@@ -241,7 +238,8 @@ class PhasePredictor {
   net::SwitchGraph graph_;
   WorkloadProfile profile_;
   /// Single-sample snapshot sizes (stat::StreamSnapshot — one tree, not the
-  /// batched 2D+3D payload): what the streaming delta rounds actually move.
+  /// batched 2D+3D payload): what the streaming delta rounds actually move,
+  /// measured in the same probe pass from the payloads' 2D trees.
   WorkloadProfile stream_profile_;
 };
 

@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "stat/checkpoint.hpp"
+
 namespace petastat::plan {
 
 namespace {
@@ -186,6 +188,48 @@ Result<tbon::TopologySpec> replan_fe_shards(
   if (!predictor.is_ok()) return predictor.status();
   predictor.value().scale_payload_profile(measured_leaf_payload_bytes);
   return best_fe_shard_spec(predictor.value(), machine, options);
+}
+
+Status resolve_spec(machine::MachineConfig& machine,
+                    const machine::JobConfig& job, stat::StatOptions& options,
+                    const machine::CostModel& costs,
+                    const stat::SessionCheckpoint* restore) {
+  // Explicit zeros are configuration errors, not requests for a default: a
+  // front end with no connections and a merge with no shards both mean the
+  // caller typed something they did not intend.
+  if (options.max_frontend_connections) {
+    if (*options.max_frontend_connections == 0) {
+      return invalid_argument(
+          "max_frontend_connections override must be >= 1 (leave it unset "
+          "for the machine default)");
+    }
+    machine.max_tool_connections = *options.max_frontend_connections;
+  }
+  if (options.fe_shards == 0 && !options.fe_shards_auto) {
+    return invalid_argument("fe_shards must be >= 1 (1 = unsharded front end)");
+  }
+
+  if (restore != nullptr) options.topology = restore->spec;
+  if (options.topology_auto || options.fe_shards_auto) {
+    // A resumed session may legally re-shard: the auto modes re-price K and
+    // placement against the payload bytes the interrupted run measured. A
+    // fresh `--topology auto` search enumerates the shard dimension itself.
+    auto chosen =
+        restore != nullptr
+            ? replan_fe_shards(machine, job, options, costs,
+                               static_cast<double>(restore->leaf_payload_bytes))
+        : options.topology_auto
+            ? choose_topology(machine, job, options, costs)
+            : choose_fe_shards(machine, job, options, costs);
+    if (!chosen.is_ok()) return chosen.status();
+    options.topology = std::move(chosen).value();
+  } else {
+    if (options.fe_shards != 1) options.topology.fe_shards = options.fe_shards;
+    if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
+      options.topology.reducer_placement = options.reducer_placement;
+    }
+  }
+  return Status::ok();
 }
 
 }  // namespace petastat::plan

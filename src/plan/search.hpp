@@ -72,4 +72,26 @@ struct TopologySearchResult {
     const stat::StatOptions& options, const machine::CostModel& costs,
     double measured_leaf_payload_bytes);
 
+/// The one construction-time spec resolution, shared by stat::StatScenario
+/// and service::SessionScheduler so the tree a session is charged for is the
+/// tree its run builds:
+///   * a per-run `max_frontend_connections` override is folded into
+///     `machine` (the reducer-tree fan-in clamp in tbon::derive_levels and
+///     every viability check then see one limit);
+///   * a `restore` adopts the checkpoint's spec, re-planned with
+///     replan_fe_shards against its measured leaf bytes under either auto
+///     mode;
+///   * otherwise `--topology auto` runs choose_topology and
+///     `--fe-shards auto` runs choose_fe_shards;
+///   * otherwise the CLI-level `fe_shards`/`reducer_placement` fold onto the
+///     spec (a spec already sharded or placed by an API caller is left
+///     alone).
+/// The resolved spec lands in `options.topology`. Fails INVALID_ARGUMENT on
+/// a zero override or zero shard count, else with the planner's status.
+[[nodiscard]] Status resolve_spec(machine::MachineConfig& machine,
+                                  const machine::JobConfig& job,
+                                  stat::StatOptions& options,
+                                  const machine::CostModel& costs,
+                                  const stat::SessionCheckpoint* restore);
+
 }  // namespace petastat::plan

@@ -4,7 +4,6 @@
 
 #include "machine/cost_model.hpp"
 #include "plan/search.hpp"
-#include "stat/checkpoint.hpp"
 
 namespace petastat::service {
 
@@ -112,64 +111,21 @@ SessionScheduler::Resolution SessionScheduler::resolve(
     return res;
   }
 
-  // Mirror StatScenario's construction-time spec resolution exactly, so the
-  // demand priced here is the topology the admitted run builds.
-  tbon::TopologySpec spec = options.topology;
-  if (options.fe_shards == 0 && !options.fe_shards_auto) {
-    res.status =
-        invalid_argument("fe_shards must be >= 1 (1 = unsharded front end)");
-    return res;
-  }
-  const machine::CostModel costs = machine::default_cost_model(res.machine);
-  if (session.checkpoint != nullptr) {
-    // Mirror the restore-constructor's resolution: adopt the checkpointed
-    // spec, then let the auto modes re-price K/placement against the
-    // *measured* per-leaf payload bytes the checkpoint recorded.
-    spec = session.checkpoint->spec;
-    if (options.topology_auto || options.fe_shards_auto) {
-      stat::StatOptions replan_options = options;
-      replan_options.topology = spec;
-      auto chosen = plan::replan_fe_shards(
-          res.machine, job, replan_options, costs,
-          static_cast<double>(session.checkpoint->leaf_payload_bytes));
-      if (!chosen.is_ok()) {
-        res.status = chosen.status();
-        return res;
-      }
-      spec = std::move(chosen).value();
-    } else {
-      if (options.fe_shards != 1) spec.fe_shards = options.fe_shards;
-      if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        spec.reducer_placement = options.reducer_placement;
-      }
-    }
-  } else if (options.topology_auto) {
-    auto chosen = plan::choose_topology(res.machine, job, options, costs);
-    if (!chosen.is_ok()) {
-      res.status = chosen.status();
-      return res;
-    }
-    spec = std::move(chosen).value();
-  } else if (options.fe_shards_auto) {
-    auto chosen = plan::choose_fe_shards(res.machine, job, options, costs);
-    if (!chosen.is_ok()) {
-      res.status = chosen.status();
-      return res;
-    }
-    spec = std::move(chosen).value();
-  } else {
-    if (options.fe_shards != 1) spec.fe_shards = options.fe_shards;
-    if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-      spec.reducer_placement = options.reducer_placement;
-    }
-  }
+  // StatScenario's own construction-time resolution, so the demand priced
+  // here is the topology the admitted run builds.
+  machine::MachineConfig planned = res.machine;
+  stat::StatOptions resolved = options;
+  res.status = plan::resolve_spec(planned, job, resolved,
+                                  machine::default_cost_model(planned),
+                                  session.checkpoint.get());
+  if (!res.status.is_ok()) return res;
 
-  auto topo = tbon::build_topology(res.machine, layout.value(), spec);
+  auto topo = tbon::build_topology(planned, layout.value(), resolved.topology);
   if (!topo.is_ok()) {
     res.status = topo.status();
     return res;
   }
-  res.spec = spec;
+  res.spec = resolved.topology;
   res.demand.comm_slots = topo.value().num_comm_procs();
   res.demand.fe_connections =
       static_cast<std::uint32_t>(topo.value().front_end().children.size());

@@ -67,8 +67,16 @@ class JsonParser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels");
+      }
+      ++depth_;
+      auto value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return parse_string_value();
     if (c == 't' || c == 'f') return parse_bool();
     if (c == 'n') return parse_null();
@@ -173,16 +181,46 @@ class JsonParser {
     return fail("expected null");
   }
 
+  /// The JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// A token that runs on past it in number characters ("256-1", "1.2.3",
+  /// "01", "3+") or stops short of it ("7e", "-") is malformed as a whole.
   Result<JsonValue> parse_number() {
     const std::size_t start = pos_;
+    const auto digit = [this]() {
+      return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+    };
+    const auto digits = [&]() {
+      const std::size_t from = pos_;
+      while (digit()) ++pos_;
+      return pos_ > from;
+    };
+    bool ok = true;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
+    if (pos_ < text_.size() && text_[pos_] == '0') {
       ++pos_;
+    } else {
+      ok = digits();
+    }
+    if (ok && pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      ok = digits();
+    }
+    if (ok && pos_ < text_.size() &&
+        (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      ok = digits();
+    }
+    while (pos_ < text_.size() &&
+           std::string_view("0123456789.eE+-").find(text_[pos_]) !=
+               std::string_view::npos) {
+      ++pos_;
+      ok = false;
     }
     const std::string token(text_.substr(start, pos_ - start));
+    if (!ok) return fail("malformed number '" + token + "'");
     try {
       JsonValue value;
       value.kind = JsonValue::Kind::kNumber;
@@ -193,8 +231,13 @@ class JsonParser {
     }
   }
 
+  /// Real traces nest 3 deep; the cap keeps hostile input from exhausting
+  /// the stack through the recursive descent.
+  static constexpr std::size_t kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 // --- Trace semantics -------------------------------------------------------

@@ -113,13 +113,21 @@ struct StreamSnapshot {
       default;
 };
 
+/// One snapshot tree plus a small packet header (the DeltaHeader is charged
+/// by the delta protocol on top of this). Takes the bare tree too: the
+/// planner's probe sizes a batch payload's 2D tree as the snapshot it is.
+template <typename Label>
+[[nodiscard]] std::uint64_t snapshot_wire_bytes(const PrefixTree<Label>& tree,
+                                                const app::FrameTable& frames,
+                                                const LabelContext& ctx) {
+  return tree.wire_bytes(frames, ctx) + 8;
+}
+
 template <typename Label>
 [[nodiscard]] std::uint64_t snapshot_wire_bytes(
     const StreamSnapshot<Label>& snapshot, const app::FrameTable& frames,
     const LabelContext& ctx) {
-  // One tree plus a small packet header (the DeltaHeader is charged by the
-  // delta protocol on top of this).
-  return snapshot.tree.wire_bytes(frames, ctx) + 8;
+  return snapshot_wire_bytes(snapshot.tree, frames, ctx);
 }
 
 /// Builds the delta-protocol ReduceOps the streaming rounds run at every

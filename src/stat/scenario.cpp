@@ -244,18 +244,9 @@ StatScenario::StatScenario(machine::MachineConfig machine,
     options_.run_through = RunThrough::kFull;
   }
 
-  // Explicit zeros are configuration errors, not requests for a default: a
-  // front end with no connections and a merge with no shards both mean the
-  // caller typed something they did not intend.
-  if (options_.max_frontend_connections &&
-      *options_.max_frontend_connections == 0) {
-    config_status_ = invalid_argument(
-        "max_frontend_connections override must be >= 1 (leave it unset for "
-        "the machine default)");
-  } else if (options_.fe_shards == 0 && !options_.fe_shards_auto) {
-    config_status_ =
-        invalid_argument("fe_shards must be >= 1 (1 = unsharded front end)");
-  } else if (options_.daemon_failure_probability < 0.0 ||
+  // Option validation; a zero connection override or shard count is
+  // rejected by plan::resolve_spec below.
+  if (options_.daemon_failure_probability < 0.0 ||
              options_.daemon_failure_probability > 1.0) {
     config_status_ = invalid_argument(
         "daemon_failure_probability must be in [0, 1]");
@@ -305,74 +296,19 @@ StatScenario::StatScenario(machine::MachineConfig machine,
     }
   }
 
-  // The per-run connection override *is* the machine's ceiling for this run:
-  // folding it into the config here means every consumer — the reducer-tree
-  // fan-in clamp in tbon::derive_levels, connection_viability, and the
-  // planner the auto modes consult below — sees one consistent limit, so
-  // the tree that gets checked is the tree that limit would demand.
-  if (config_status_.is_ok() && options_.max_frontend_connections) {
-    machine_.max_tool_connections = *options_.max_frontend_connections;
+  // Resolve the spec up front (the connection override folded into the
+  // machine, `--topology auto` / `--fe-shards auto`, a restore's adopted or
+  // re-planned spec) so the run-seed salting below — and everything seeded
+  // from it — sees the spec the run will actually use.
+  if (config_status_.is_ok()) {
+    config_status_ = plan::resolve_spec(machine_, job_, options_, costs_,
+                                        restore_.get());
   }
-
-  // Resolve `--topology auto` / `--fe-shards auto` up front so the run-seed
-  // salting below (and everything seeded from it) sees the spec the run will
-  // actually use.
+  // Reject a restored spec the machine cannot build (a K incompatible with
+  // this layout) at construction, where the scheduler screens sessions.
   if (config_status_.is_ok() && restore_ != nullptr) {
-    // A restore adopts the interrupted run's resolved spec — then the auto
-    // modes re-price K and placement against the *measured* payload bytes
-    // the checkpoint recorded (the cheap re-planning hook: a resumed session
-    // may legally re-shard), and an explicit CLI re-shard folds in as usual.
-    options_.topology = restore_->spec;
-    if (options_.topology_auto || options_.fe_shards_auto) {
-      auto chosen = plan::replan_fe_shards(
-          machine_, job_, options_, costs_,
-          static_cast<double>(restore_->leaf_payload_bytes));
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
-    } else {
-      if (options_.fe_shards != 1) {
-        options_.topology.fe_shards = options_.fe_shards;
-      }
-      if (options_.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        options_.topology.reducer_placement = options_.reducer_placement;
-      }
-    }
-    // Reject a spec the machine cannot build (a K incompatible with this
-    // layout) at construction, where the scheduler screens sessions.
-    if (config_status_.is_ok()) {
-      auto topo = tbon::build_topology(machine_, layout_, options_.topology);
-      if (!topo.is_ok()) config_status_ = topo.status();
-    }
-  } else if (config_status_.is_ok()) {
-    if (options_.topology_auto) {
-      // The search enumerates the shard dimension itself (K in {1,2,4,8}
-      // under `--fe-shards auto`, the pinned K otherwise).
-      auto chosen = plan::choose_topology(machine_, job_, options_, costs_);
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
-    } else if (options_.fe_shards_auto) {
-      auto chosen = plan::choose_fe_shards(machine_, job_, options_, costs_);
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
-    } else {
-      // The CLI-level knobs land on the spec; a spec already sharded/placed
-      // by a direct API caller is left alone.
-      if (options_.fe_shards != 1) {
-        options_.topology.fe_shards = options_.fe_shards;
-      }
-      if (options_.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        options_.topology.reducer_placement = options_.reducer_placement;
-      }
-    }
+    auto topo = tbon::build_topology(machine_, layout_, options_.topology);
+    if (!topo.is_ok()) config_status_ = topo.status();
   }
 
   net_ = std::make_unique<net::Network>(sim_, net::build_switch_graph(machine_));
@@ -624,11 +560,8 @@ StatRunResult StatScenario::run_impl() {
   if (streaming) {
     // Front-end viability is judged up front, exactly as the classic merge
     // phase does (dead daemons never dial in).
-    const std::uint32_t conn_limit =
-        options_.max_frontend_connections.value_or(
-            machine_.max_tool_connections);
-    if (Status conn =
-            tbon::connection_viability(topology, conn_limit, daemon_dead);
+    if (Status conn = tbon::connection_viability(
+            topology, machine_.max_tool_connections, daemon_dead);
         !conn.is_ok()) {
       phases.merge_status = std::move(conn);
       result.status = phases.merge_status;
@@ -687,12 +620,10 @@ StatRunResult StatScenario::run_impl() {
   // with the planner, `> limit` rejects.
   // Dead daemons never dial in, so viability is judged on the survivors —
   // a tree that would overflow the front end at full strength can be fine
-  // after casualties, and the planner's mask overload agrees.
-  const std::uint32_t conn_limit =
-      options_.max_frontend_connections.value_or(
-          machine_.max_tool_connections);
-  if (Status conn =
-          tbon::connection_viability(topology, conn_limit, daemon_dead);
+  // after casualties, and the planner's mask overload agrees. The limit is
+  // the machine's, the per-run override folded in at construction.
+  if (Status conn = tbon::connection_viability(
+          topology, machine_.max_tool_connections, daemon_dead);
       !conn.is_ok()) {
     phases.merge_status = std::move(conn);
     result.status = phases.merge_status;
@@ -733,30 +664,17 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
   phases.leaf_payload_bytes =
       payload_wire_bytes(payloads[first_alive], frames, ctx);
 
-  // Receive-buffer viability: the sum of the leaf payloads arriving at the
-  // front end — and at each reducer, which takes over the front end's role
-  // for its shard — must fit (streaming helps internal comm procs, but the
-  // merge root of a flat subtree holds every daemon's full-job bit vectors
-  // at once). Dead daemons send nothing.
-  std::vector<std::uint32_t> merge_roots{0};
-  merge_roots.insert(merge_roots.end(), topology.reducers.begin(),
-                     topology.reducers.end());
-  for (const std::uint32_t root : merge_roots) {
-    std::uint64_t incoming = 0;
-    for (const std::uint32_t child : topology.procs[root].children) {
-      const auto& proc = topology.procs[child];
-      if (proc.is_leaf() && !daemon_dead[proc.daemon.value()]) {
-        incoming +=
-            payload_wire_bytes(payloads[proc.daemon.value()], frames, ctx);
-      }
-    }
-    if (incoming > costs_.merge.frontend_rx_buffer_bytes) {
-      phases.merge_status = resource_exhausted(
-          std::string(root == 0 ? "front-end" : "reducer") +
-          " receive buffers overflow: " + std::to_string(incoming) +
-          " bytes inbound");
-      return;
-    }
+  // Receive-buffer viability at every merge root (the merge root of a flat
+  // subtree holds every daemon's full-job bit vectors at once).
+  if (Status rx = tbon::receive_buffer_viability(
+          topology,
+          [&](std::uint32_t daemon) {
+            return payload_wire_bytes(payloads[daemon], frames, ctx);
+          },
+          costs_.merge, daemon_dead);
+      !rx.is_ok()) {
+    phases.merge_status = std::move(rx);
+    return;
   }
 
   const SimTime merge_start = sim_.now();

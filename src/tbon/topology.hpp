@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -240,6 +241,20 @@ struct DerivedLevels {
 [[nodiscard]] Status connection_viability(const TbonTopology& topology,
                                           std::uint32_t limit,
                                           const std::vector<bool>& daemon_dead);
+
+/// Receive-buffer viability of every merge root — the front end and, when
+/// sharded, each reducer, which takes over the front end's role for its
+/// shard: the leaf payloads arriving there must fit
+/// MergeCosts::frontend_rx_buffer_bytes (internal comm procs stream their
+/// arrivals, but the root of a flat subtree holds every leaf's payload at
+/// once). `leaf_bytes(d)` is daemon d's payload size; a daemon flagged in
+/// `daemon_dead` sends nothing (an empty mask means all alive). Shared by
+/// the simulator and the planner, like connection_viability.
+[[nodiscard]] Status receive_buffer_viability(
+    const TbonTopology& topology,
+    const std::function<std::uint64_t(std::uint32_t)>& leaf_bytes,
+    const machine::MergeCosts& costs,
+    const std::vector<bool>& daemon_dead = {});
 
 /// Distinct hosts carrying the shard machinery (reducers + combiners) — the
 /// remote-shell handshake count of the spawn burst. Feed it with

@@ -380,6 +380,91 @@ TEST(SessionScheduler, AutoTopologyPlansAgainstResidualCapacity) {
   EXPECT_EQ(class_signature(resolved.result), class_signature(solo.run()));
 }
 
+/// A petascale session, flat unless the caller reshapes it; arrivals are
+/// far apart so each runs on an idle machine.
+SessionRequest petascale_session(const std::string& name, double arrival,
+                                 std::uint32_t tasks) {
+  SessionRequest request;
+  request.name = name;
+  request.arrival_seconds = arrival;
+  request.job = machine::JobConfig{.num_tasks = tasks};
+  request.options.topology = tbon::TopologySpec::flat();
+  return request;
+}
+
+// The ledger charges each session for the tree its resolution priced; the
+// admitted run must build exactly that tree — every spec-resolution path
+// (pinned, explicit shards/placement, both auto modes, a restore that
+// re-plans, and a per-run connection override that clamps the reducer
+// tree).
+TEST(SessionScheduler, LedgerDemandMatchesTheBuiltRun) {
+  ServiceConfig config;
+  config.executor_threads = 2;
+  SessionScheduler scheduler(config);
+  std::vector<SessionRequest> requests;
+
+  requests.push_back(petascale_session("pinned", 0.0, 4096));
+  requests.back().options.topology = tbon::TopologySpec::balanced(2);
+
+  requests.push_back(petascale_session("fe-shards", 1000.0, 4096));
+  requests.back().options.fe_shards = 4;
+
+  requests.push_back(petascale_session("placement", 2000.0, 4096));
+  requests.back().options.fe_shards = 4;
+  requests.back().options.reducer_placement = tbon::ReducerPlacement::kSpread;
+
+  requests.push_back(petascale_session("topology-auto", 3000.0, 4096));
+  requests.back().options.topology_auto = true;
+
+  requests.push_back(petascale_session("fe-shards-auto", 4000.0, 4096));
+  requests.back().options.fe_shards_auto = true;
+
+  requests.push_back(petascale_session("vacate-restore", 5000.0, 4096));
+  requests.back().options.fe_shards_auto = true;
+  requests.back().options.stream_samples = 4;
+  requests.back().options.evolution = app::TraceEvolution::kDrift;
+  requests.back().options.vacate_at_round = 2;
+
+  requests.push_back(petascale_session("override-4k", 6000.0, 4096));
+  requests.back().options.fe_shards = 16;
+  requests.back().options.max_frontend_connections = 4;
+
+  requests.push_back(petascale_session("override-8k", 7000.0, 8192));
+  requests.back().options.fe_shards = 32;
+  requests.back().options.max_frontend_connections = 4;
+
+  for (const SessionRequest& request : requests) {
+    ASSERT_TRUE(scheduler.submit(request).is_ok());
+  }
+  const ServiceReport report = scheduler.run();
+  ASSERT_EQ(report.completed, requests.size());
+
+  for (const SessionRequest& request : requests) {
+    SCOPED_TRACE(request.name);
+    const SessionStats& s = stats_for(report, request.name);
+    ASSERT_TRUE(s.admitted);
+    ASSERT_TRUE(s.result.status.is_ok()) << s.result.status.to_string();
+    EXPECT_EQ(s.demand.comm_slots, s.result.num_comm_procs);
+    EXPECT_EQ(s.topology, s.result.topology.name());
+
+    // The front end the run built: the run's spec on the machine its
+    // connection override folds into.
+    machine::MachineConfig machine = config.machine;
+    if (request.options.max_frontend_connections) {
+      machine.max_tool_connections = *request.options.max_frontend_connections;
+    }
+    auto layout = machine::layout_daemons(machine, request.job);
+    ASSERT_TRUE(layout.is_ok());
+    auto built = tbon::build_topology(machine, layout.value(),
+                                      s.result.topology);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    EXPECT_EQ(s.demand.fe_connections,
+              built.value().front_end().children.size());
+  }
+  EXPECT_EQ(stats_for(report, "vacate-restore").restarts, 1u);
+  EXPECT_TRUE(stats_for(report, "vacate-restore").result.restored);
+}
+
 // --- Trace parsing ---------------------------------------------------------
 
 TEST(ServiceTrace, ParsesConfigAndSessions) {
@@ -438,12 +523,57 @@ TEST(ServiceTrace, RejectsMalformedInput) {
       {R"({"sessions": [{"sbrs": false}]})", "false boolean flag"},
       {R"({"sessions": [{"no-such-flag": 3}]})", "unknown session flag"},
       {R"({"sessions": [{"tasks": "many"}]})", "non-numeric tasks"},
+      // JSON numbers: the whole token must match the grammar (each of
+      // these once parsed as its valid prefix).
+      {R"({"sessions": [{"tasks": 256-1}]})", "number with a trailing '-1'"},
+      {R"({"sessions": [{"arrival": 1.2.3}]})", "number with two points"},
+      {R"({"sessions": [{"tasks": 7e}]})", "exponent without digits"},
+      {R"({"sessions": [{"priority": 3+}]})", "number with a trailing '+'"},
+      {R"({"sessions": [{"priority": 01}]})", "leading zero"},
+      {R"({"sessions": [{"arrival": -}]})", "bare minus"},
+      {R"({"sessions": [{"arrival": 1.}]})", "point without digits"},
   };
   for (const auto& [text, what] : cases) {
     auto trace = parse_service_trace(text);
     ASSERT_FALSE(trace.is_ok()) << what;
     EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument) << what;
   }
+}
+
+TEST(ServiceTrace, AcceptsTheJsonNumberGrammar) {
+  auto trace = parse_service_trace(
+      R"({"sessions": [{"arrival": 0}, {"arrival": 1.5e2},
+                       {"arrival": 2E-1}, {"arrival": 0.25},
+                       {"arrival": 3e+0, "priority": 10}]})");
+  ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
+  const auto& sessions = trace.value().sessions;
+  ASSERT_EQ(sessions.size(), 5u);
+  EXPECT_EQ(sessions[0].arrival_seconds, 0.0);
+  EXPECT_EQ(sessions[1].arrival_seconds, 150.0);
+  EXPECT_EQ(sessions[2].arrival_seconds, 0.2);
+  EXPECT_EQ(sessions[3].arrival_seconds, 0.25);
+  EXPECT_EQ(sessions[4].arrival_seconds, 3.0);
+  EXPECT_EQ(sessions[4].priority, 10u);
+}
+
+// The parser recurses per nesting level; hostile depth is rejected, not a
+// stack overflow.
+TEST(ServiceTrace, RejectsDeepNesting) {
+  const std::string deep(100000, '[');
+  auto trace = parse_service_trace(deep);
+  ASSERT_FALSE(trace.is_ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(trace.status().message().find("nesting"), std::string::npos)
+      << trace.status().to_string();
+
+  // Nesting that real traces never reach, but within the cap, still parses
+  // down to the trace semantics (which reject the unknown key).
+  const std::string nested = R"({"x": )" + std::string(40, '[') +
+                             std::string(40, ']') + "}";
+  auto shallow = parse_service_trace(nested);
+  ASSERT_FALSE(shallow.is_ok());
+  EXPECT_EQ(shallow.status().message().find("nesting"), std::string::npos)
+      << shallow.status().to_string();
 }
 
 TEST(ServiceTrace, MissingFileIsNotFound) {
