@@ -1,9 +1,16 @@
 // Micro-benchmarks of the core data structures and the simulation engine:
 // prefix-tree insert/merge throughput, trace generation, interval-set
-// algebra, the front-end remap, and the discrete-event queue.
+// algebra, the front-end remap, the discrete-event queue, the planner's
+// topology search and the switch-graph route walk.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "app/appmodel.hpp"
+#include "machine/cost_model.hpp"
+#include "machine/machine.hpp"
+#include "net/network.hpp"
+#include "plan/search.hpp"
 #include "sim/simulator.hpp"
 #include "stat/filter.hpp"
 #include "stat/prefix_tree.hpp"
@@ -168,5 +175,56 @@ void BM_TreeSerializeRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeSerializeRoundtrip);
+
+// One `--topology auto --fe-shards auto` plan of an 8,192-task petascale
+// session with the profile cache warm: predictor construction (one cache
+// hit) plus pricing every candidate spec. Items are specs priced.
+void BM_SearchTopologies(benchmark::State& state) {
+  const machine::MachineConfig machine = machine::petascale();
+  const machine::JobConfig job{.num_tasks = 8192};
+  stat::StatOptions options;
+  options.topology_auto = true;
+  options.fe_shards_auto = true;
+  const machine::CostModel costs = machine::default_cost_model(machine);
+  (void)plan::PhasePredictor::create(machine, job, options, costs);  // warm
+  std::size_t specs = 0;
+  for (auto _ : state) {
+    auto predictor = plan::PhasePredictor::create(machine, job, options, costs);
+    auto ranked = plan::search_topologies(predictor.value());
+    specs = ranked.value().viable.size() + ranked.value().rejected.size();
+    benchmark::DoNotOptimize(ranked);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    specs));
+}
+BENCHMARK(BM_SearchTopologies)->Unit(benchmark::kMillisecond);
+
+// net::route_between over every ordered pair of 32 petascale hosts spread
+// over the front end, the login, I/O and compute tiers.
+void BM_RouteBetween(benchmark::State& state) {
+  const machine::MachineConfig machine = machine::petascale();
+  const net::SwitchGraph graph = net::build_switch_graph(machine);
+  std::vector<NodeId> hosts{machine.front_end()};
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    hosts.push_back(machine.login_node(i * machine.login_nodes / 7));
+    hosts.push_back(machine.io_node(i * machine.io_nodes / 7));
+  }
+  while (hosts.size() < 32) {
+    hosts.push_back(machine.compute_node(static_cast<std::uint32_t>(
+        hosts.size() * (machine.compute_nodes / 32))));
+  }
+  for (auto _ : state) {
+    double rate = 0.0;
+    for (const NodeId src : hosts) {
+      for (const NodeId dst : hosts) {
+        rate += net::bottleneck_rate(net::route_between(graph, src, dst));
+      }
+    }
+    benchmark::DoNotOptimize(rate);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * hosts.size() * hosts.size()));
+}
+BENCHMARK(BM_RouteBetween);
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 namespace petastat::net {
@@ -37,28 +36,27 @@ void SwitchGraph::seal() {
   check(n > 0, "switch graph has no switches");
 
   // Incident-edge lists in insertion order keep BFS tie-breaks deterministic.
-  std::vector<std::vector<std::uint32_t>> incident(n);
+  // Each entry carries the far end, so the search never reads edges_.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> incident(n);
   for (std::uint32_t e = 0; e < edges_.size(); ++e) {
-    incident[edges_[e].a].push_back(e);
-    incident[edges_[e].b].push_back(e);
+    incident[edges_[e].a].emplace_back(e, edges_[e].b);
+    incident[edges_[e].b].emplace_back(e, edges_[e].a);
   }
 
   parent_.assign(static_cast<std::size_t>(n) * n, kNoEdge);
   std::vector<std::uint8_t> seen(n);
-  std::deque<std::uint32_t> queue;
+  std::vector<std::uint32_t> queue(n);  // each switch is queued once per root
   for (std::uint32_t root = 0; root < n; ++root) {
     std::fill(seen.begin(), seen.end(), std::uint8_t{0});
     seen[root] = 1;
-    queue.assign(1, root);
-    while (!queue.empty()) {
-      const std::uint32_t u = queue.front();
-      queue.pop_front();
-      for (const std::uint32_t e : incident[u]) {
-        const std::uint32_t v = edges_[e].a == u ? edges_[e].b : edges_[e].a;
+    queue[0] = root;
+    for (std::uint32_t head = 0, tail = 1; head < tail; ++head) {
+      const std::uint32_t u = queue[head];
+      for (const auto& [e, v] : incident[u]) {
         if (seen[v]) continue;
         seen[v] = 1;
         parent_[static_cast<std::size_t>(root) * n + v] = e;
-        queue.push_back(v);
+        queue[tail++] = v;
       }
     }
   }
@@ -73,27 +71,6 @@ std::uint32_t SwitchGraph::switch_of(NodeId node) const {
   const std::uint32_t slot =
       std::min(rule.num_switches - 1, node_index(node) / rule.hosts_per_switch);
   return rule.first_switch + slot;
-}
-
-std::vector<std::uint32_t> SwitchGraph::switch_path(std::uint32_t a,
-                                                    std::uint32_t b) const {
-  check(sealed_, "switch_path before seal()");
-  std::vector<std::uint32_t> path;
-  if (a == b) return path;
-  // Walking the BFS tree rooted at min(a, b) makes path(b, a) the exact
-  // reverse of path(a, b) regardless of equal-length alternatives.
-  const std::uint32_t root = std::min(a, b);
-  const std::uint32_t n = num_switches();
-  std::uint32_t u = std::max(a, b);
-  while (u != root) {
-    const std::uint32_t e = parent_[static_cast<std::size_t>(root) * n + u];
-    check(e != kNoEdge, "switch graph is disconnected");
-    path.push_back(e);
-    u = edges_[e].a == u ? edges_[e].b : edges_[e].a;
-  }
-  // The chain runs max -> root; flip when the caller travels root -> max.
-  if (a == root) std::reverse(path.begin(), path.end());
-  return path;
 }
 
 std::string SwitchGraph::device_name(std::uint64_t device) const {
@@ -256,18 +233,41 @@ SwitchGraph build_switch_graph(const machine::MachineConfig& machine) {
 }
 
 Route route_between(const SwitchGraph& graph, NodeId src, NodeId dst) {
-  Route route;
-  const SwitchGraph::AttachRule& src_rule = graph.attach_rule(node_role(src));
-  const SwitchGraph::AttachRule& dst_rule = graph.attach_rule(node_role(dst));
-  route.push_back({SwitchGraph::access_device(src), src_rule.access});
-  if (src != dst) {
-    for (const std::uint32_t e :
-         graph.switch_path(graph.switch_of(src), graph.switch_of(dst))) {
-      route.push_back({e, graph.edges()[e].link});
-    }
+  check(graph.sealed_, "route_between before seal()");
+  const std::uint32_t a = graph.switch_of(src);
+  const std::uint32_t b = graph.switch_of(dst);
+  // Walking the BFS tree rooted at min(a, b) makes route(b, a) the exact
+  // reverse of route(a, b) regardless of equal-length alternatives. The walk
+  // runs max(a, b) -> root: one pass sizes the route, a second fills it from
+  // whichever end src sits on.
+  const std::uint32_t root = std::min(a, b);
+  const std::uint32_t far = std::max(a, b);
+  const std::uint32_t* toward_root =
+      graph.parent_.data() +
+      static_cast<std::size_t>(root) * graph.num_switches();
+  const auto step = [&](std::uint32_t u) {
+    const SwitchGraph::Edge& edge = graph.edges_[toward_root[u]];
+    return edge.a == u ? edge.b : edge.a;
+  };
+  std::size_t trunks = 0;
+  for (std::uint32_t u = far; u != root; u = step(u)) {
+    check(toward_root[u] != SwitchGraph::kNoEdge,
+          "switch graph is disconnected");
+    ++trunks;
   }
+
   // Self-transfers occupy the host's access device twice (tx + rx).
-  route.push_back({SwitchGraph::access_device(dst), dst_rule.access});
+  Route route(trunks + 2);
+  route.front() = {SwitchGraph::access_device(src),
+                   graph.attach_rule(node_role(src)).access};
+  route.back() = {SwitchGraph::access_device(dst),
+                  graph.attach_rule(node_role(dst)).access};
+  const bool from_src = far == a;
+  std::size_t slot = from_src ? 1 : trunks;
+  for (std::uint32_t u = far; u != root; u = step(u)) {
+    route[slot] = {toward_root[u], graph.edges_[toward_root[u]].link};
+    slot = from_src ? slot + 1 : slot - 1;
+  }
   return route;
 }
 

@@ -42,6 +42,14 @@ struct LinkParams {
   double bytes_per_sec = 1.0e9;
 };
 
+/// One hop of a resolved route: the serialization device it occupies and the
+/// link class that prices it.
+struct RouteHop {
+  std::uint64_t device = 0;
+  LinkParams link;
+};
+using Route = std::vector<RouteHop>;
+
 /// The interconnect as a graph over switch vertices. Hosts attach implicitly:
 /// each NodeRole has an AttachRule mapping host index -> switch, plus the
 /// access-link class shared by that tier (the old per-role NIC rate).
@@ -99,17 +107,15 @@ class SwitchGraph {
   /// Switch the node's access link lands on.
   [[nodiscard]] std::uint32_t switch_of(NodeId node) const;
 
-  /// Trunk edge ids from switch `a` to switch `b`, in travel order (empty
-  /// when a == b). Symmetric by construction: switch_path(b, a) is the exact
-  /// reverse. Fails if the switches are disconnected.
-  [[nodiscard]] std::vector<std::uint32_t> switch_path(std::uint32_t a,
-                                                       std::uint32_t b) const;
-
   /// Human-readable name for a device key ("rack3-io--gige-core",
   /// "login[5].access").
   [[nodiscard]] std::string device_name(std::uint64_t device) const;
 
  private:
+  // Walks parent_ straight into the route it returns.
+  friend Route route_between(const SwitchGraph& graph, NodeId src,
+                             NodeId dst);
+
   std::vector<std::string> names_;
   std::vector<Edge> edges_;
   AttachRule attach_[4];
@@ -119,14 +125,6 @@ class SwitchGraph {
   std::vector<std::uint32_t> parent_;
   bool sealed_ = false;
 };
-
-/// One hop of a resolved route: the serialization device it occupies and the
-/// link class that prices it.
-struct RouteHop {
-  std::uint64_t device = 0;
-  LinkParams link;
-};
-using Route = std::vector<RouteHop>;
 
 /// Builds the switch graph for a machine from its InterconnectConfig.
 /// Replaces the old default_network_params(): presets carry real wiring

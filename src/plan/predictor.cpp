@@ -326,7 +326,8 @@ double critical_path_seconds(const net::SwitchGraph& graph,
   struct LevelCost {
     double worst_cpu_s = 0.0;
     double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
+    // One (device, serialization) pair per link crossing, in child order.
+    std::vector<std::pair<std::uint64_t, double>> crossings;
   };
   std::vector<LevelCost> levels(topo.depth);
   const double msg_overhead_s = to_seconds(graph.per_message_overhead());
@@ -341,7 +342,7 @@ double critical_path_seconds(const net::SwitchGraph& graph,
           net::route_between(graph, topo.procs[c].host, parent.host);
       const double ser_s = bytes / net::bottleneck_rate(route);
       for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
+        level.crossings.emplace_back(hop.device, ser_s);
       }
       level.worst_latency_s =
           std::max(level.worst_latency_s,
@@ -353,10 +354,22 @@ double critical_path_seconds(const net::SwitchGraph& graph,
 
   double merge_s = leaf_s;
   for (std::size_t l = levels.size(); l-- > 0;) {
-    const LevelCost& level = levels[l];
+    LevelCost& level = levels[l];
+    // Each device drains its crossings serially. A stable sort keeps child
+    // order within a device, so every per-device sum adds in the same order
+    // a running per-device total would.
+    std::stable_sort(
+        level.crossings.begin(), level.crossings.end(),
+        [](const auto& x, const auto& y) { return x.first < y.first; });
     double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
+    for (std::size_t i = 0; i < level.crossings.size();) {
+      double device_s = 0.0;
+      const std::uint64_t device = level.crossings[i].first;
+      for (; i < level.crossings.size() && level.crossings[i].first == device;
+           ++i) {
+        device_s += level.crossings[i].second;
+      }
+      worst_link_s = std::max(worst_link_s, device_s);
     }
     merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
   }
@@ -479,7 +492,7 @@ SimTime PhasePredictor::predict_sampling() const {
 
 Result<PhasePrediction> PhasePredictor::predict(
     const tbon::TopologySpec& spec) const {
-  auto topo_result = tbon::build_topology(machine_, layout_, spec);
+  auto topo_result = tbon::build_topology(machine_, layout_, spec, &graph_);
   if (!topo_result.is_ok()) return topo_result.status();
   const tbon::TbonTopology& topo = topo_result.value();
 
@@ -562,7 +575,7 @@ Result<PhasePrediction> PhasePredictor::predict(
 
 Result<std::vector<LinkBytesPrediction>>
 PhasePredictor::predict_merge_link_bytes(const tbon::TopologySpec& spec) const {
-  auto topo_result = tbon::build_topology(machine_, layout_, spec);
+  auto topo_result = tbon::build_topology(machine_, layout_, spec, &graph_);
   if (!topo_result.is_ok()) return topo_result.status();
   const tbon::TbonTopology& topo = topo_result.value();
 
@@ -599,7 +612,7 @@ PhasePredictor::predict_merge_link_bytes(const tbon::TopologySpec& spec) const {
 
 Result<RecoveryPrediction> PhasePredictor::predict_recovery(
     const tbon::TopologySpec& spec, SimTime ping_period) const {
-  auto topo_result = tbon::build_topology(machine_, layout_, spec);
+  auto topo_result = tbon::build_topology(machine_, layout_, spec, &graph_);
   if (!topo_result.is_ok()) return topo_result.status();
   const tbon::TbonTopology& topo = topo_result.value();
   const std::uint32_t victim = tbon::default_victim(topo);
@@ -674,7 +687,7 @@ Result<RecoveryPrediction> PhasePredictor::predict_recovery(
 Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
     const tbon::TopologySpec& spec,
     const std::vector<bool>& daemon_changed) const {
-  auto topo_result = tbon::build_topology(machine_, layout_, spec);
+  auto topo_result = tbon::build_topology(machine_, layout_, spec, &graph_);
   if (!topo_result.is_ok()) return topo_result.status();
   const tbon::TbonTopology& topo = topo_result.value();
 

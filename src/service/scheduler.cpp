@@ -72,43 +72,42 @@ Status SessionScheduler::submit(SessionRequest request) {
   return Status::ok();
 }
 
-SessionScheduler::Resolution SessionScheduler::resolve(
-    const Session& session, const ResourceLedger& view) const {
-  Resolution res;
-  const machine::JobConfig& job = session.request.job;
-  const stat::StatOptions& options = session.request.options;
-
+SessionScheduler::Evaluation& SessionScheduler::resolve(
+    Session& session, const ResourceLedger& view) {
   // A pinned session's spec never depends on contention: it is priced
   // against the preset machine and gated by the ledger alone. An auto
   // session plans against the residual — an "effective machine" whose
-  // login-slot and connection ceilings are the view's free capacity.
-  if (session.pinned) {
-    res.machine = config_.machine;
-    res.eval_key = "pinned";
-  } else {
-    res.machine = config_.machine;
-    if (!res.machine.comm_procs_on_compute_allocation &&
-        res.machine.login_nodes > 0) {
-      res.machine.max_comm_procs_per_login = static_cast<std::uint32_t>(
-          view.free().comm_slots / res.machine.login_nodes);
+  // login-slot and connection ceilings are the view's free capacity. The key
+  // names every input besides the request, so it is computed first.
+  machine::MachineConfig machine = config_.machine;
+  std::string key = "pinned";
+  if (!session.pinned) {
+    if (!machine.comm_procs_on_compute_allocation && machine.login_nodes > 0) {
+      machine.max_comm_procs_per_login = static_cast<std::uint32_t>(
+          view.free().comm_slots / machine.login_nodes);
     }
-    res.machine.max_tool_connections =
-        std::min<std::uint32_t>(res.machine.max_tool_connections,
-                                view.free().fe_connections);
-    res.eval_key = "auto|" +
-                   std::to_string(res.machine.max_comm_procs_per_login) + "|" +
-                   std::to_string(res.machine.max_tool_connections);
+    machine.max_tool_connections = std::min<std::uint32_t>(
+        machine.max_tool_connections, view.free().fe_connections);
+    key = "auto|" + std::to_string(machine.max_comm_procs_per_login) + "|" +
+          std::to_string(machine.max_tool_connections);
   }
   if (session.checkpoint != nullptr) {
     // A restored leg is a different run (it resumes mid-series, possibly
-    // re-planned), so it must never reuse the pre-vacate memoized result.
-    res.eval_key += "|r" + std::to_string(session.restarts);
+    // re-planned), so it must never reuse the pre-vacate memoized entry.
+    key += "|r" + std::to_string(session.restarts);
   }
+  const auto [it, inserted] = session.evals.try_emplace(std::move(key));
+  Evaluation& eval = it->second;
+  if (!inserted) return eval;
 
+  Resolution& res = eval.resolution;
+  res.machine = std::move(machine);
+  const machine::JobConfig& job = session.request.job;
+  const stat::StatOptions& options = session.request.options;
   auto layout = machine::layout_daemons(res.machine, job);
   if (!layout.is_ok()) {
     res.status = layout.status();
-    return res;
+    return eval;
   }
 
   // StatScenario's own construction-time resolution, so the demand priced
@@ -118,40 +117,39 @@ SessionScheduler::Resolution SessionScheduler::resolve(
   res.status = plan::resolve_spec(planned, job, resolved,
                                   machine::default_cost_model(planned),
                                   session.checkpoint.get());
-  if (!res.status.is_ok()) return res;
+  if (!res.status.is_ok()) return eval;
 
   auto topo = tbon::build_topology(planned, layout.value(), resolved.topology);
   if (!topo.is_ok()) {
     res.status = topo.status();
-    return res;
+    return eval;
   }
   res.spec = resolved.topology;
   res.demand.comm_slots = topo.value().num_comm_procs();
   res.demand.fe_connections =
       static_cast<std::uint32_t>(topo.value().front_end().children.size());
   res.demand.exec_threads = std::max(1u, options.exec_threads);
-  return res;
+  return eval;
 }
 
-const stat::StatRunResult& SessionScheduler::evaluate(
-    Session& session, const Resolution& resolution) {
-  for (const auto& [key, result] : session.evals) {
-    if (key == resolution.eval_key) return result;
-  }
+const stat::StatRunResult& SessionScheduler::evaluate(Session& session,
+                                                      Evaluation& eval) {
+  if (eval.result) return *eval.result;
   // The inner run is deterministic and self-contained, so evaluating a
   // session (for a backfill duration, say) *is* running it — the result is
   // reused verbatim at admission, never recomputed.
+  const machine::MachineConfig& machine = eval.resolution.machine;
   if (session.checkpoint != nullptr) {
-    stat::StatScenario scenario(resolution.machine, session.request.job,
+    stat::StatScenario scenario(machine, session.request.job,
                                 session.request.options, &exec_,
                                 session.checkpoint);
-    session.evals.emplace_back(resolution.eval_key, scenario.run());
+    eval.result = scenario.run();
   } else {
-    stat::StatScenario scenario(resolution.machine, session.request.job,
+    stat::StatScenario scenario(machine, session.request.job,
                                 session.request.options, &exec_);
-    session.evals.emplace_back(resolution.eval_key, scenario.run());
+    eval.result = scenario.run();
   }
-  return session.evals.back().second;
+  return *eval.result;
 }
 
 void SessionScheduler::arrive(std::uint32_t index) {
@@ -162,26 +160,28 @@ void SessionScheduler::arrive(std::uint32_t index) {
   const ResourceLedger idle(ledger_.comm_slot_capacity(),
                             ledger_.fe_connection_capacity(),
                             ledger_.exec_thread_capacity());
-  Resolution at_idle = resolve(session, idle);
-  if (at_idle.status.is_ok() && !idle.fits(at_idle.demand)) {
-    at_idle.status = resource_exhausted(
+  const Resolution& at_idle = resolve(session, idle).resolution;
+  Status status = at_idle.status;
+  if (status.is_ok() && !idle.fits(at_idle.demand)) {
+    status = resource_exhausted(
         "session '" + session.request.name +
         "' demands more than the machine has: " +
         std::to_string(at_idle.demand.comm_slots) + " comm slots / " +
         std::to_string(at_idle.demand.fe_connections) + " connections / " +
         std::to_string(at_idle.demand.exec_threads) + " executor threads");
   }
-  if (!at_idle.status.is_ok()) {
+  if (!status.is_ok()) {
     session.state = State::kDone;
-    session.stats.status = at_idle.status;
+    session.stats.status = std::move(status);
     return;
   }
   session.state = State::kQueued;
   schedule_pass();
 }
 
-void SessionScheduler::admit(Session& session, const Resolution& resolution,
+void SessionScheduler::admit(Session& session, Evaluation& eval,
                              bool backfilled) {
+  const Resolution& resolution = eval.resolution;
   const SimTime now = sim_.now();
   ledger_.acquire(resolution.demand, now);
   session.state = State::kRunning;
@@ -192,7 +192,7 @@ void SessionScheduler::admit(Session& session, const Resolution& resolution,
   session.stats.start = now;
   session.stats.queue_wait = now - session.stats.arrival;
 
-  const stat::StatRunResult& result = evaluate(session, resolution);
+  const stat::StatRunResult& result = evaluate(session, eval);
   session.stats.result = result;
   session.stats.status = result.status;
 
@@ -247,7 +247,7 @@ std::vector<std::uint32_t> SessionScheduler::queue_order() const {
 }
 
 SessionScheduler::Reservation SessionScheduler::compute_reservation(
-    const Session& head) {
+    Session& head) {
   // EASY backfill's shadow: walk a copy of the ledger through the running
   // sessions' completions (earliest first) until the head fits. For an auto
   // head the spec is re-resolved under each hypothetical residual — more
@@ -265,7 +265,7 @@ SessionScheduler::Reservation SessionScheduler::compute_reservation(
   ResourceLedger copy = ledger_;
   for (const auto& [completes_at, stats] : running) {
     copy.release(stats->demand, completes_at);
-    const Resolution res = resolve(head, copy);
+    const Resolution& res = resolve(head, copy).resolution;
     if (!res.status.is_ok() || !copy.fits(res.demand)) continue;
     r.found = true;
     r.shadow = completes_at;
@@ -286,9 +286,10 @@ void SessionScheduler::schedule_pass() {
     if (queue.empty()) return;
 
     Session& head = sessions_[queue.front()];
-    const Resolution head_res = resolve(head, ledger_);
+    Evaluation& head_eval = resolve(head, ledger_);
+    const Resolution& head_res = head_eval.resolution;
     if (head_res.status.is_ok() && ledger_.fits(head_res.demand)) {
-      admit(head, head_res, /*backfilled=*/false);
+      admit(head, head_eval, /*backfilled=*/false);
       changed = true;
       continue;
     }
@@ -301,18 +302,19 @@ void SessionScheduler::schedule_pass() {
 
     for (std::size_t qi = 1; qi < queue.size(); ++qi) {
       Session& candidate = sessions_[queue[qi]];
-      const Resolution res = resolve(candidate, ledger_);
+      Evaluation& eval = resolve(candidate, ledger_);
+      const Resolution& res = eval.resolution;
       if (!res.status.is_ok() || !ledger_.fits(res.demand)) continue;
       // Never delay the head: the candidate must either be gone by the
       // shadow (its deterministic duration is exact, not an estimate) or
       // fit inside the capacity the head leaves free at the shadow.
-      const stat::StatRunResult& result = evaluate(candidate, res);
+      const stat::StatRunResult& result = evaluate(candidate, eval);
       const bool done_by_shadow =
           sim_.now() + result.total_virtual_time <= reservation.shadow;
       if (!done_by_shadow && !res.demand.fits_within(reservation.extra)) {
         continue;
       }
-      admit(candidate, res, /*backfilled=*/true);
+      admit(candidate, eval, /*backfilled=*/true);
       changed = true;
       break;  // the reservation moved; recompute before the next candidate
     }
@@ -342,6 +344,11 @@ ServiceReport SessionScheduler::run() {
   for (Session& session : sessions_) {
     check(session.state == State::kDone,
           "service drained with a session still pending");
+    session.stats.resolutions =
+        static_cast<std::uint32_t>(session.evals.size());
+    for (const auto& [key, eval] : session.evals) {
+      if (eval.result) ++session.stats.runs;
+    }
     const SessionStats& stats = session.stats;
     if (stats.admitted) {
       ++admitted;

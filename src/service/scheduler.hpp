@@ -22,9 +22,16 @@
 // choose_fe_shards, via plan::PhasePredictor) picks smaller shard counts and
 // narrower trees when login nodes are contended, instead of waiting for the
 // whole machine.
+//
+// Each session is planned once per residual: a resolution is a pure function
+// of the request, the leg (checkpoint and restart count) and the effective
+// machine, so it is memoized per session under those inputs, failed ones
+// included, and a later pass, reservation walk or backfill probe that sees
+// the same residual reuses it.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,7 +126,13 @@ class SessionScheduler {
     /// The machine the admitted scenario must be constructed with so its
     /// internal auto resolution reproduces `spec`.
     machine::MachineConfig machine;
-    std::string eval_key;  // caches deterministic runs per resolution
+  };
+
+  /// One memo entry: a resolution and, once the session has run under it,
+  /// the deterministic run (reused verbatim at admission, never recomputed).
+  struct Evaluation {
+    Resolution resolution;
+    std::optional<stat::StatRunResult> result;
   };
 
   struct Session {
@@ -133,10 +146,13 @@ class SessionScheduler {
     std::shared_ptr<const stat::SessionCheckpoint> checkpoint;
     std::uint32_t restarts = 0;
     SessionStats stats;
-    /// Memoized deterministic runs, keyed by Resolution::eval_key (a pinned
-    /// session has exactly one entry; an auto session one per distinct
-    /// effective machine it was priced under).
-    std::vector<std::pair<std::string, stat::StatRunResult>> evals;
+    /// The resolution memo, keyed by everything a resolution depends on
+    /// besides the request: "pinned" or the effective machine's two residual
+    /// ceilings, plus the restart count of a restored leg. A pinned session
+    /// has one entry per leg; an auto session one per distinct effective
+    /// machine it was priced under. std::map: entries stay put while a
+    /// reservation walk adds more.
+    std::map<std::string, Evaluation> evals;
   };
 
   struct Reservation {
@@ -145,14 +161,12 @@ class SessionScheduler {
     SessionDemand extra;   // free capacity at the shadow, head's share removed
   };
 
-  [[nodiscard]] Resolution resolve(const Session& session,
-                                   const ResourceLedger& view) const;
-  const stat::StatRunResult& evaluate(Session& session,
-                                      const Resolution& resolution);
+  Evaluation& resolve(Session& session, const ResourceLedger& view);
+  const stat::StatRunResult& evaluate(Session& session, Evaluation& eval);
   void arrive(std::uint32_t index);
   void complete(std::uint32_t index);
-  void admit(Session& session, const Resolution& resolution, bool backfilled);
-  [[nodiscard]] Reservation compute_reservation(const Session& head);
+  void admit(Session& session, Evaluation& eval, bool backfilled);
+  [[nodiscard]] Reservation compute_reservation(Session& head);
   void schedule_pass();
   [[nodiscard]] std::vector<std::uint32_t> queue_order() const;
 

@@ -76,6 +76,11 @@ struct SessionStats {
   /// re-admitted from its checkpoint. `result` is the *final* leg's run —
   /// its `restored`/`restore_cursor` fields say where it resumed.
   std::uint32_t restarts = 0;
+  /// Planner work the session cost: distinct (effective machine, leg)
+  /// resolutions the scheduler priced, and inner runs it evaluated (a
+  /// backfill probe's run that was then not admitted included).
+  std::uint32_t resolutions = 0;
+  std::uint32_t runs = 0;
   SessionDemand demand;     // what the session held while running
   std::string topology;     // resolved spec name (auto modes included)
   /// Full result of the admitted run (empty for rejected sessions).

@@ -304,14 +304,15 @@ StatScenario::StatScenario(machine::MachineConfig machine,
     config_status_ = plan::resolve_spec(machine_, job_, options_, costs_,
                                         restore_.get());
   }
+  net_ = std::make_unique<net::Network>(sim_, net::build_switch_graph(machine_));
+
   // Reject a restored spec the machine cannot build (a K incompatible with
   // this layout) at construction, where the scheduler screens sessions.
   if (config_status_.is_ok() && restore_ != nullptr) {
-    auto topo = tbon::build_topology(machine_, layout_, options_.topology);
+    auto topo = tbon::build_topology(machine_, layout_, options_.topology,
+                                     &net_->graph());
     if (!topo.is_ok()) config_status_ = topo.status();
   }
-
-  net_ = std::make_unique<net::Network>(sim_, net::build_switch_graph(machine_));
 
   // Per-run noise streams are salted with the configuration so that
   // "essentially identical" runs under different topologies draw different
@@ -388,7 +389,8 @@ StatRunResult StatScenario::run_impl() {
   });
 
   // --- Topology --------------------------------------------------------------
-  auto topo_result = tbon::build_topology(machine_, layout_, options_.topology);
+  auto topo_result = tbon::build_topology(machine_, layout_, options_.topology,
+                                          &net_->graph());
   if (!topo_result.is_ok()) {
     result.status = topo_result.status();
     return result;

@@ -148,7 +148,8 @@ Result<std::vector<std::uint32_t>> derive_level_widths(
 namespace {
 
 /// Lazily-built state for ReducerPlacement::kRoute: the machine's switch
-/// graph plus the occupancy-weighted load every placed route-proc has
+/// graph (the caller's, or one built for this tree) plus the
+/// occupancy-weighted load every placed route-proc has
 /// charged to the link devices its payloads traverse. Each crossing charges
 /// 1/rate — the wire time a unit payload occupies that link — so a hop on a
 /// fat aggregated trunk costs a fraction of one on a thin access or
@@ -158,11 +159,10 @@ namespace {
 /// switches and steers each one toward the aggregation domain its
 /// children's payloads already live in.
 struct RoutePlacementState {
-  net::SwitchGraph graph;
+  const net::SwitchGraph& graph;
   std::unordered_map<std::uint64_t, double> link_load;
 
-  explicit RoutePlacementState(const machine::MachineConfig& machine)
-      : graph(net::build_switch_graph(machine)) {}
+  explicit RoutePlacementState(const net::SwitchGraph& g) : graph(g) {}
 
   /// Only candidate-dependent devices count: the trunks a route crosses and
   /// the candidate host's own access link. The far endpoint's access link
@@ -241,7 +241,8 @@ struct RoutePlacementState {
 
 Result<TbonTopology> build_topology(const machine::MachineConfig& machine,
                                     const machine::DaemonLayout& layout,
-                                    const TopologySpec& spec) {
+                                    const TopologySpec& spec,
+                                    const net::SwitchGraph* graph) {
   if (spec.depth < 1 || spec.depth > 4) {
     return invalid_argument("topology depth must be in [1,4]");
   }
@@ -299,9 +300,15 @@ Result<TbonTopology> build_topology(const machine::MachineConfig& machine,
   std::set<std::uint32_t> consumed_nodes;
   std::uint32_t shard_seq = 0;
   std::vector<std::uint32_t> login_load(machine.login_nodes, 0);
+  std::optional<net::SwitchGraph> own_graph;
   std::optional<RoutePlacementState> route_state;
   const auto route_placement = [&]() -> RoutePlacementState& {
-    if (!route_state) route_state.emplace(machine);
+    if (!route_state) {
+      if (graph == nullptr) {
+        graph = &own_graph.emplace(net::build_switch_graph(machine));
+      }
+      route_state.emplace(*graph);
+    }
     return *route_state;
   };
   // The n-th compute node (ascending) past the daemon block that no

@@ -23,6 +23,10 @@
 #include "machine/cost_model.hpp"
 #include "machine/machine.hpp"
 
+namespace petastat::net {
+class SwitchGraph;
+}  // namespace petastat::net
+
 namespace petastat::tbon {
 
 /// Where the shard machinery (reducers and combiners) of a sharded front end
@@ -220,10 +224,14 @@ struct DerivedLevels {
 /// (`fe_shards > 1`) gets its reducers — and, for K > kShardCombineFanIn,
 /// the combiner levels of the reducer tree above them — as the leading
 /// internal levels, placed per `spec.reducer_placement` and recorded in
-/// `TbonTopology::reducers` / `combiners`.
+/// `TbonTopology::reducers` / `combiners`. Route-aware placement
+/// (ReducerPlacement::kRoute) prices candidate hosts over `graph`, which
+/// must be net::build_switch_graph(machine) or a graph built the same way
+/// from the same interconnect; a caller that holds one passes it, otherwise
+/// a kRoute spec builds and seals its own.
 [[nodiscard]] Result<TbonTopology> build_topology(
     const machine::MachineConfig& machine, const machine::DaemonLayout& layout,
-    const TopologySpec& spec);
+    const TopologySpec& spec, const net::SwitchGraph* graph = nullptr);
 
 /// Connection-limit viability of a built tree against `limit` simultaneous
 /// tool connections: exactly `limit` children survive, `limit + 1` do not

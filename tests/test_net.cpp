@@ -1,9 +1,14 @@
 // Unit tests for the switch-graph network model: route resolution, per-link
 // serialization, cut-through timing, async delivery, and the machine-preset
-// invariants (symmetry, reachability, preserved NIC rates).
+// invariants (symmetry, reachability, preserved NIC rates, agreement with a
+// naive BFS route).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "machine/machine.hpp"
 #include "net/network.hpp"
@@ -255,6 +260,93 @@ TEST(SwitchGraphPresets, AllRolePairsRouteSymmetricallyWithoutLoops) {
         ASSERT_EQ(back.size(), forward.size());
         for (std::size_t i = 0; i < forward.size(); ++i) {
           EXPECT_EQ(back[back.size() - 1 - i].device, forward[i].device);
+        }
+      }
+    }
+  }
+}
+
+/// Textbook route, built from the graph's edge list alone: a BFS rooted at
+/// the lower-numbered switch, scanning edges in insertion order, then the
+/// chain from the other switch up to that root, turned into travel order.
+Route naive_route(const SwitchGraph& g, NodeId src, NodeId dst) {
+  Route route{{SwitchGraph::access_device(src),
+               g.attach_rule(machine::node_role(src)).access}};
+  const std::uint32_t a = g.switch_of(src);
+  const std::uint32_t b = g.switch_of(dst);
+  if (a != b) {
+    const std::uint32_t root = std::min(a, b);
+    const auto other = [&](std::uint32_t e, std::uint32_t u) {
+      return g.edges()[e].a == u ? g.edges()[e].b : g.edges()[e].a;
+    };
+    std::vector<std::uint32_t> parent(g.num_switches(), SwitchGraph::kNoEdge);
+    std::vector<bool> seen(g.num_switches(), false);
+    std::queue<std::uint32_t> queue;
+    seen[root] = true;
+    queue.push(root);
+    while (!queue.empty()) {
+      const std::uint32_t u = queue.front();
+      queue.pop();
+      for (std::uint32_t e = 0; e < g.edges().size(); ++e) {
+        if (g.edges()[e].a != u && g.edges()[e].b != u) continue;
+        const std::uint32_t v = other(e, u);
+        if (seen[v]) continue;
+        seen[v] = true;
+        parent[v] = e;
+        queue.push(v);
+      }
+    }
+    std::vector<std::uint32_t> chain;  // max(a, b) -> root
+    for (std::uint32_t u = std::max(a, b); u != root; u = other(parent[u], u)) {
+      chain.push_back(parent[u]);
+    }
+    if (a == root) std::reverse(chain.begin(), chain.end());
+    for (const std::uint32_t e : chain) route.push_back({e, g.edges()[e].link});
+  }
+  route.push_back({SwitchGraph::access_device(dst),
+                   g.attach_rule(machine::node_role(dst)).access});
+  return route;
+}
+
+/// Hosts of every role at eight spread indices (ends included), so each
+/// role pair crosses the attach ranges' switch boundaries.
+std::vector<NodeId> oracle_hosts(const machine::MachineConfig& m) {
+  const std::pair<NodeRole, std::uint32_t> tiers[] = {
+      {NodeRole::kFrontEnd, 1},
+      {NodeRole::kLogin, m.login_nodes},
+      {NodeRole::kIo, m.io_nodes},
+      {NodeRole::kCompute, m.compute_nodes}};
+  std::vector<NodeId> hosts;
+  for (const auto& [role, count] : tiers) {
+    std::set<std::uint32_t> indices;
+    for (std::uint32_t i = 0; count > 0 && i < 8; ++i) {
+      indices.insert(static_cast<std::uint32_t>(
+          static_cast<std::uint64_t>(count - 1) * i / 7));
+    }
+    for (const std::uint32_t index : indices) {
+      hosts.push_back(machine::make_node(role, index));
+    }
+  }
+  return hosts;
+}
+
+TEST(SwitchGraphPresets, RouteBetweenMatchesNaiveBfsOracle) {
+  for (const PresetCase& pc : preset_cases()) {
+    SCOPED_TRACE(pc.name);
+    const SwitchGraph g = build_switch_graph(pc.machine);
+    const std::vector<NodeId> hosts = oracle_hosts(pc.machine);
+    for (const NodeId a : hosts) {
+      for (const NodeId b : hosts) {  // a == b: the self-transfers
+        const Route got = route_between(g, a, b);
+        const Route want = naive_route(g, a, b);
+        ASSERT_EQ(got.size(), want.size())
+            << g.device_name(SwitchGraph::access_device(a)) << " -> "
+            << g.device_name(SwitchGraph::access_device(b));
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].device, want[i].device) << "hop " << i;
+          EXPECT_EQ(got[i].link.latency, want[i].link.latency) << "hop " << i;
+          EXPECT_EQ(got[i].link.bytes_per_sec, want[i].link.bytes_per_sec)
+              << "hop " << i;
         }
       }
     }

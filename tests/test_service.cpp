@@ -1,8 +1,9 @@
 // Tests for the multi-session service layer: the resource ledger, the
-// FIFO/backfill session scheduler, the arrival-trace parser, the service
-// report writers, and the re-entrancy guarantees they rest on (re-runnable
-// scheduler inputs, the single-shot scenario guard, the shared executor,
-// and the planner's profile memoization).
+// FIFO/backfill session scheduler and its per-residual resolution memo, the
+// arrival-trace parser, the service report writers, and the re-entrancy
+// guarantees they rest on (re-runnable scheduler inputs, the single-shot
+// scenario guard, the shared executor, and the planner's profile
+// memoization).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -463,6 +464,68 @@ TEST(SessionScheduler, LedgerDemandMatchesTheBuiltRun) {
   }
   EXPECT_EQ(stats_for(report, "vacate-restore").restarts, 1u);
   EXPECT_TRUE(stats_for(report, "vacate-restore").result.restored);
+}
+
+// Every pass, reservation walk and backfill probe that meets a residual a
+// session was already priced under reuses that resolution. So the planner's
+// profile lookups (one per resolution it runs, one per auto session's
+// StatScenario construction) stay within the distinct resolutions plus the
+// runs, however many passes the queue takes.
+TEST(SessionScheduler, ResolvesEachResidualOnce) {
+  ServiceConfig config;
+  config.machine = machine::atlas();
+  config.executor_threads = 2;
+  SessionScheduler scheduler(config);
+  std::vector<SessionRequest> requests;
+  // A pinned stream holds one thread while an auto head needing both
+  // threads blocks the queue, and auto sessions arrive behind it.
+  requests.push_back(small_session("long", 0.0, 0, /*stream=*/8));
+  requests.push_back(small_session("wide-auto", 0.2));
+  requests.back().options.topology_auto = true;
+  requests.back().options.exec_threads = 2;
+  for (int i = 0; i < 3; ++i) {
+    requests.push_back(small_session("small-auto-" + std::to_string(i),
+                                     0.4 + 0.1 * i));
+    requests.back().job.num_tasks = 64;
+    requests.back().options.topology_auto = true;
+  }
+  requests.push_back(small_session("vacate", 0.8, 0, /*stream=*/4));
+  requests.back().options.fe_shards_auto = true;
+  requests.back().options.evolution = app::TraceEvolution::kDrift;
+  requests.back().options.vacate_at_round = 2;
+  for (const SessionRequest& request : requests) {
+    ASSERT_TRUE(scheduler.submit(request).is_ok());
+  }
+
+  plan::reset_profile_cache();
+  const ServiceReport report = scheduler.run();
+  const plan::ProfileCacheCounters counters = plan::profile_cache_counters();
+  plan::reset_profile_cache();
+  ASSERT_EQ(report.completed, requests.size());
+  EXPECT_GT(report.backfilled, 0u);
+
+  std::uint64_t bound = 0;
+  for (const SessionRequest& request : requests) {
+    if (!request.options.topology_auto && !request.options.fe_shards_auto) {
+      continue;  // a pinned session never reaches the planner
+    }
+    const SessionStats& s = stats_for(report, request.name);
+    EXPECT_LE(s.runs, s.resolutions) << request.name;
+    bound += s.resolutions + s.runs;
+  }
+  EXPECT_GT(counters.hits + counters.misses, 0u);
+  EXPECT_LE(counters.hits + counters.misses, bound);
+
+  // The restored leg is keyed apart from the vacated one: it got a fresh
+  // resolution and run, and the report carries the resumed run, not the
+  // pre-vacate result.
+  const SessionStats& vacate = stats_for(report, "vacate");
+  EXPECT_EQ(vacate.restarts, 1u);
+  EXPECT_GE(vacate.resolutions, 2u);
+  EXPECT_GE(vacate.runs, 2u);
+  EXPECT_TRUE(vacate.result.restored);
+  EXPECT_FALSE(vacate.result.vacated);
+  EXPECT_TRUE(vacate.status.is_ok());
 }
 
 // --- Trace parsing ---------------------------------------------------------
